@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test bench bench-smoke bench-record bench-check race shuffle fuzz-smoke load-smoke churn-smoke serve-smoke store-smoke shard-prop cand-prop store-prop
+.PHONY: ci fmt vet build test bench bench-smoke bench-record bench-check race alloc-pin shuffle fuzz-smoke load-smoke churn-smoke serve-smoke store-smoke shard-prop cand-prop store-prop
 
-ci: fmt vet build race shard-prop cand-prop store-prop fuzz-smoke serve-smoke store-smoke bench-check
+ci: fmt vet build race alloc-pin shard-prop cand-prop store-prop fuzz-smoke serve-smoke store-smoke bench-check
 
 # gofmt enforcement: fail (listing the offenders) when any tracked Go
 # file is not gofmt-clean.
@@ -30,6 +30,11 @@ test:
 # go stale undetected, without paying for a second full execution.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# Allocation pins, run without the race detector: under it sync.Pool
+# drops pooled scratch at random, so the pins skip themselves there.
+alloc-pin:
+	$(GO) test -count=1 -run 'TestSearchKernelZeroAlloc' ./internal/matching
 
 # The shuffled suite without the race detector (faster local loop).
 shuffle:
@@ -62,14 +67,16 @@ cand-prop:
 store-prop:
 	$(GO) test -race -shuffle=on -run 'TestCrashRecoveryProperty' ./internal/store
 
-# Short native-fuzzing smoke on the registry parser and the durable
-# store loader: five seconds each is enough to catch grammar and
-# framing regressions (the full corpus lives in the fuzz cache of
-# whoever runs longer sessions).
+# Short native-fuzzing smoke on the registry parser, the durable store
+# loader, the similarity kernels and the search kernel (every matcher
+# family against a brute-force oracle): five seconds each is enough to
+# catch grammar, framing and search regressions (the full corpus lives
+# in the fuzz cache of whoever runs longer sessions).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseSpec' -fuzztime 5s ./match
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadTenant' -fuzztime 5s ./internal/store
 	$(GO) test -run '^$$' -fuzz 'FuzzKernelParity' -fuzztime 5s ./internal/similarity
+	$(GO) test -run '^$$' -fuzz 'FuzzSearchKernel' -fuzztime 5s ./internal/matchers
 
 # Serving-layer smoke: the multi-tenant load driver on a tiny corpus,
 # including the batched-vs-sequential throughput comparison.
@@ -145,15 +152,15 @@ store-smoke:
 bench:
 	$(GO) test -bench 'BenchmarkEngine' -benchmem .
 
-# Perf-harness smoke: run every engine and figure benchmark — plus the
-# incremental-vs-rebuild index maintenance benchmark and the 1-vs-4
-# shard scatter-gather comparison — for a single iteration so harness
-# rot (broken fixtures, diverged answer sets) is caught by the gate
-# without paying full benchmark time.
+# Perf-harness smoke: run every engine, figure and matcher benchmark —
+# plus the incremental-vs-rebuild index maintenance benchmark and the
+# 1-vs-4 shard scatter-gather comparison — for a single iteration so
+# harness rot (broken fixtures, diverged answer sets) is caught by the
+# gate without paying full benchmark time.
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngine|BenchmarkFig|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel' \
-		-benchtime 1x .
+		-bench 'BenchmarkEngine|BenchmarkFig|BenchmarkMatcher|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel' \
+		-benchtime 1x -benchmem .
 
 # Record the perf trajectory: run the benchmark suite plus a short
 # matchload replay and write the parsed results to the next free

@@ -3,6 +3,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Matrix is a dense rows×cols score matrix: Vals[i*cols+j] is the score
@@ -65,21 +66,18 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 		}
 		return
 	}
-	jobs := make(chan int)
+	// Workers claim jobs by index, so a job costs one atomic add.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := range jobs {
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				fn(w, i)
 			}
 		}(w)
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
 	wg.Wait()
 }
 

@@ -14,9 +14,10 @@
 package beam
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/matching"
 	"repro/internal/xmlschema"
@@ -43,12 +44,6 @@ func (b *Matcher) Name() string { return fmt.Sprintf("beam:%d", b.width) }
 // Width returns the beam width.
 func (b *Matcher) Width() int { return b.width }
 
-// state is one partial mapping during the level-wise search.
-type state struct {
-	targets []int // assigned repository element IDs, one per level so far
-	cost    float64
-}
-
 // Match implements matching.Matcher.
 func (b *Matcher) Match(p *matching.Problem, delta float64) (*matching.AnswerSet, error) {
 	return b.MatchContext(context.Background(), p, delta)
@@ -65,8 +60,9 @@ func (b *Matcher) MatchContext(ctx context.Context, p *matching.Problem, delta f
 // the partial-state expansions examined, Pruned the expansions cut by
 // the threshold, Yielded the complete mappings kept.
 func (b *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, delta float64) (*matching.AnswerSet, matching.SearchStats, error) {
-	var answers []matching.Answer
+	var col matching.Collector
 	var st matching.SearchStats
+	var levels [2]level // reused across schemas
 	done := ctx.Done()
 	for _, s := range p.Repo.Schemas() {
 		if done != nil && ctx.Err() != nil {
@@ -77,109 +73,111 @@ func (b *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, de
 			// would prune every frontier entry of this schema anyway.
 			continue
 		}
-		if err := b.matchSchema(ctx, p, s, delta, &answers, &st); err != nil {
+		if err := b.matchSchema(ctx, p, s, delta, &levels, &col, &st); err != nil {
 			return nil, st, err
 		}
 	}
-	return matching.NewAnswerSet(answers), st, nil
+	return col.Set(), st, nil
 }
 
-func (b *Matcher) matchSchema(ctx context.Context, p *matching.Problem, s *xmlschema.Schema, delta float64, out *[]matching.Answer, st *matching.SearchStats) error {
-	m := p.M()
-	done := ctx.Done()
-	stopped := false
-	// Level 0: the personal root may map to any element.
-	var frontier []state
-	for _, re := range s.Elements() {
-		st.Candidates++
-		c := p.NameCost(s, 0, re.ID())
-		if c > delta+1e-12 {
-			st.Pruned++
-			continue
-		}
-		frontier = append(frontier, state{targets: []int{re.ID()}, cost: c})
-	}
-	frontier = b.shrink(frontier)
+// state is one partial mapping of the level-wise search: its cost and
+// the offset of its targets in the level's arena.
+type state struct {
+	cost float64
+	off  int
+}
 
-	for pid := 1; pid < m && len(frontier) > 0; pid++ {
-		par := p.ParentOf(pid)
-		var next []state
-		for _, cur := range frontier {
-			parentImg := s.ByID(cur.targets[par])
-			maxDepth := parentImg.Depth() + p.Config().MaxDepthStretch
-			parentImg.Walk(func(re *xmlschema.Element) bool {
-				if stopped {
-					return false
+// level is one frontier; its k-element states keep their targets in
+// one flat arena, k ints each, instead of a slice apiece.
+type level struct {
+	states []state
+	arena  []int
+}
+
+// push appends the state extending targets with rid at cost c.
+func (l *level) push(c float64, targets []int, rid int) {
+	l.states = append(l.states, state{cost: c, off: len(l.arena)})
+	l.arena = append(append(l.arena, targets...), rid)
+}
+
+// matchSchema runs the level-wise search over one schema, walking
+// children through the schema's layout and the problem's cost row.
+func (b *Matcher) matchSchema(ctx context.Context, p *matching.Problem, s *xmlschema.Schema, delta float64, levels *[2]level, col *matching.Collector, st *matching.SearchStats) error {
+	v := p.View(s)
+	bound := delta + 1e-12
+	done := ctx.Done()
+	cur, next := &levels[0], &levels[1]
+	// Level 0: the personal root may map to any element.
+	cur.states, cur.arena = cur.states[:0], cur.arena[:0]
+	for rid := range v.Depth {
+		st.Candidates++
+		if c := v.NameCost(0, rid); c <= bound {
+			cur.push(c, nil, rid)
+		} else {
+			st.Pruned++
+		}
+	}
+	b.shrink(cur, 1)
+	k := 1 // targets per state of cur
+	for ; k < p.M() && len(cur.states) > 0; k++ {
+		par := p.ParentOf(k)
+		next.states, next.arena = next.states[:0], next.arena[:0]
+		for _, cs := range cur.states {
+			tg := cur.arena[cs.off : cs.off+k]
+			pr := tg[par]
+			for rid, hi := pr+1, int(v.End[pr]); rid < hi; rid++ {
+				d := v.Depth[rid]
+				if d > v.MaxDepth(pr) {
+					rid = int(v.End[rid]) - 1 // skip the too-deep subtree
+					continue
 				}
-				if re == parentImg {
-					return true
-				}
-				if re.Depth() > maxDepth {
-					return false
-				}
-				rid := re.ID()
-				for _, t := range cur.targets {
-					if t == rid {
-						return true // injectivity
-					}
+				if slices.Contains(tg, rid) {
+					continue // injectivity
 				}
 				st.Candidates++
 				if done != nil && st.Candidates&matching.CancelCheckMask == 0 && ctx.Err() != nil {
-					stopped = true
-					return false
+					return ctx.Err()
 				}
-				c := cur.cost + p.NameCost(s, pid, rid) + p.EdgeCost(re.Depth()-parentImg.Depth())
-				if c > delta+1e-12 {
+				c := cs.cost + v.NameCost(k, rid) + v.EdgeCost(d-v.Depth[pr])
+				if c > bound {
 					st.Pruned++
-					return true
+					continue
 				}
-				nt := make([]int, pid+1)
-				copy(nt, cur.targets)
-				nt[pid] = rid
-				next = append(next, state{targets: nt, cost: c})
-				return true
-			})
-			if stopped {
-				return ctx.Err()
+				next.push(c, tg, rid)
 			}
 		}
-		frontier = b.shrink(next)
+		b.shrink(next, k+1)
+		cur, next = next, cur
 	}
-	for _, cur := range frontier {
-		if len(cur.targets) == m {
-			st.Yielded++
-			*out = append(*out, matching.Answer{
-				Mapping: matching.Mapping{Schema: s.Name, Targets: cur.targets},
-				Score:   cur.cost,
-			})
-		}
+	// The frontier is empty, or its states assign every element.
+	for _, cs := range cur.states {
+		st.Yielded++
+		col.Add(matching.Mapping{Schema: s.Name, Targets: cur.arena[cs.off : cs.off+k]}, cs.cost)
 	}
 	return nil
 }
 
-// shrink keeps the width best states, breaking cost ties by target
-// sequence so runs are deterministic.
-func (b *Matcher) shrink(states []state) []state {
-	if len(states) <= b.width {
-		return states
+// shrink keeps the width best k-element states of a level, breaking
+// cost ties by target sequence so runs are deterministic.
+func (b *Matcher) shrink(l *level, k int) {
+	if len(l.states) <= b.width {
+		return
 	}
-	sort.Slice(states, func(i, j int) bool {
-		if states[i].cost != states[j].cost {
-			return states[i].cost < states[j].cost
+	slices.SortFunc(l.states, func(x, y state) int {
+		tx, ty := l.arena[x.off:x.off+k], l.arena[y.off:y.off+k]
+		switch {
+		case x.cost != y.cost:
+			return cmp.Compare(x.cost, y.cost)
+		case lessTargets(tx, ty):
+			return -1
+		case lessTargets(ty, tx):
+			return 1
 		}
-		return lessTargets(states[i].targets, states[j].targets)
+		return 0
 	})
-	return states[:b.width]
+	l.states = l.states[:b.width]
 }
 
-func lessTargets(a, b []int) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
+// lessTargets orders target sequences lexicographically, a proper
+// prefix first.
+func lessTargets(a, b []int) bool { return slices.Compare(a, b) < 0 }

@@ -52,9 +52,7 @@ func (ix *Index) Apply(repo *xmlschema.Repository, diff xmlschema.Diff) (*Index,
 		return nil, fmt.Errorf("clustered: nil repository")
 	}
 	if diff.Empty() {
-		nix := *ix
-		nix.repo = repo
-		return &nix, nil
+		return ix.withMembership(repo, ix.nameCluster, ix.nameCount, ix.drift, ix.classes), nil
 	}
 
 	counts := make(map[string]int, len(ix.nameCount))
@@ -63,29 +61,23 @@ func (ix *Index) Apply(repo *xmlschema.Repository, diff xmlschema.Diff) (*Index,
 	}
 	var addedNames, removedNames []string
 	dec := func(s *xmlschema.Schema) error {
-		var bad error
-		s.Walk(func(e *xmlschema.Element) bool {
-			counts[e.Name]--
-			switch {
+		for _, e := range s.Elements() {
+			switch counts[e.Name]--; {
 			case counts[e.Name] == 0:
 				removedNames = append(removedNames, e.Name)
 				delete(counts, e.Name)
 			case counts[e.Name] < 0:
-				bad = fmt.Errorf("clustered: diff removes name %q the index does not hold", e.Name)
-				return false
+				return fmt.Errorf("clustered: diff removes name %q the index does not hold", e.Name)
 			}
-			return true
-		})
-		return bad
+		}
+		return nil
 	}
 	inc := func(s *xmlschema.Schema) {
-		s.Walk(func(e *xmlschema.Element) bool {
-			counts[e.Name]++
-			if counts[e.Name] == 1 {
+		for _, e := range s.Elements() {
+			if counts[e.Name]++; counts[e.Name] == 1 {
 				addedNames = append(addedNames, e.Name)
 			}
-			return true
-		})
+		}
 	}
 	for _, s := range diff.Removed {
 		if err := dec(s); err != nil {
@@ -134,19 +126,7 @@ func (ix *Index) Apply(repo *xmlschema.Repository, diff xmlschema.Diff) (*Index,
 	for _, n := range addedNames {
 		nameCluster[n] = ix.nearestMedoid(n)
 	}
-	nix := &Index{
-		repo:        repo,
-		names:       sortedNames(counts),
-		clustering:  ix.clustering,
-		medoidNames: ix.medoidNames,
-		nameCluster: nameCluster,
-		silhouette:  ix.silhouette,
-		scorer:      ix.scorer,
-		cfg:         ix.cfg,
-		nameCount:   counts,
-		baseNames:   ix.baseNames,
-		drift:       drift,
-	}
+	nix := ix.withMembership(repo, nameCluster, counts, drift, ix.classes)
 	if ix.cfg.ParityCheck {
 		ref, err := ix.Rebase(repo)
 		if err != nil {
@@ -177,19 +157,17 @@ func (ix *Index) Rebase(repo *xmlschema.Repository) (*Index, error) {
 	for n := range counts {
 		nameCluster[n] = ix.nearestMedoid(n)
 	}
-	return &Index{
-		repo:        repo,
-		names:       sortedNames(counts),
-		clustering:  ix.clustering,
-		medoidNames: ix.medoidNames,
-		nameCluster: nameCluster,
-		silhouette:  ix.silhouette,
-		scorer:      ix.scorer,
-		cfg:         ix.cfg,
-		nameCount:   counts,
-		baseNames:   ix.baseNames,
-		drift:       ix.drift,
-	}, nil
+	return ix.withMembership(repo, nameCluster, counts, ix.drift, nil), nil
+}
+
+// withMembership returns ix over repo with the given membership, name
+// counts and drift; the clustering, scorer and configuration carry
+// over. prev's per-schema class arrays are reused for schemas whose
+// names kept their clusters.
+func (ix *Index) withMembership(repo *xmlschema.Repository, nameCluster, counts map[string]int, drift int, prev map[*xmlschema.Schema][]int32) *Index {
+	nix := *ix
+	nix.repo, nix.nameCluster, nix.nameCount, nix.drift = repo, nameCluster, counts, drift
+	return nix.indexClasses(prev)
 }
 
 // Derive returns a sub-repository index sharing the receiver's

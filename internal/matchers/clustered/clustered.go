@@ -35,10 +35,8 @@ import (
 // queries.
 type Index struct {
 	repo *xmlschema.Repository
-	// names are the distinct element names, sorted (cluster item i =
-	// names[i]).
-	names []string
-	// clustering over the name indices.
+	// clustering over the distinct names, sorted, at the last full
+	// build.
 	clustering *cluster.Clustering
 	// medoidNames[c] is the representative name of cluster c.
 	medoidNames []string
@@ -50,6 +48,10 @@ type Index struct {
 	// scorer the distance matrix was built from; matchers over this
 	// index default to it so online selection shares the same cache.
 	scorer engine.Scorer
+	// classes maps each schema of repo to the cluster of every
+	// element's name, by element ID (-1 for an unknown name): the
+	// array the search kernel restricts candidates by.
+	classes map[*xmlschema.Schema][]int32
 	// cfg is the build configuration (Scorer resolved), kept so the
 	// rebuild-threshold fallback of Apply re-runs the same build.
 	cfg IndexConfig
@@ -139,9 +141,8 @@ func BuildIndex(repo *xmlschema.Repository, cfg IndexConfig) (*Index, error) {
 	for i, n := range names {
 		nameCluster[n] = cl.Assign[i]
 	}
-	return &Index{
+	ix := &Index{
 		repo:        repo,
-		names:       names,
 		clustering:  cl,
 		medoidNames: medoidNames,
 		nameCluster: nameCluster,
@@ -150,17 +151,17 @@ func BuildIndex(repo *xmlschema.Repository, cfg IndexConfig) (*Index, error) {
 		cfg:         cfg,
 		nameCount:   nameCount,
 		baseNames:   len(names),
-	}, nil
+	}
+	return ix.indexClasses(nil), nil
 }
 
 // countNames returns the element count of every distinct name in repo.
 func countNames(repo *xmlschema.Repository) map[string]int {
 	counts := make(map[string]int)
 	for _, s := range repo.Schemas() {
-		s.Walk(func(e *xmlschema.Element) bool {
+		for _, e := range s.Elements() {
 			counts[e.Name]++
-			return true
-		})
+		}
 	}
 	return counts
 }
@@ -182,7 +183,7 @@ func (ix *Index) K() int { return ix.clustering.K }
 func (ix *Index) Scorer() engine.Scorer { return ix.scorer }
 
 // DistinctNames returns how many distinct element names were clustered.
-func (ix *Index) DistinctNames() int { return len(ix.names) }
+func (ix *Index) DistinctNames() int { return len(ix.nameCount) }
 
 // Silhouette returns the clustering quality index in [-1, 1].
 func (ix *Index) Silhouette() float64 { return ix.silhouette }
@@ -242,9 +243,6 @@ func (c *Matcher) Name() string {
 	return fmt.Sprintf("clustered:%d", c.topClusters)
 }
 
-// TopClusters returns how many clusters each personal element selects.
-func (c *Matcher) TopClusters() int { return c.topClusters }
-
 // SelectedClusters returns, for one personal element name, the indices
 // of the topClusters clusters whose medoid names are most similar.
 func (c *Matcher) SelectedClusters(name string) []int {
@@ -286,41 +284,50 @@ func (c *Matcher) MatchContext(ctx context.Context, p *matching.Problem, delta f
 	return set, err
 }
 
-// MatchStatsContext implements matching.StatsMatcher.
+// MatchStatsContext implements matching.StatsMatcher: the search
+// kernel under a class policy — each personal element may only take
+// repository elements whose name's cluster it selected.
 func (c *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, delta float64) (*matching.AnswerSet, matching.SearchStats, error) {
-	var st matching.SearchStats
 	if p.Repo != c.index.repo {
-		return nil, st, fmt.Errorf("clustered: index built for a different repository")
+		return nil, matching.SearchStats{}, fmt.Errorf("clustered: index built for a different repository")
 	}
-	// Per personal element: the set of allowed cluster indices.
-	m := p.M()
-	allowedClusters := make([]map[int]bool, m)
+	allowed := make([]matching.ClassSet, p.M())
 	for _, pe := range p.Personal.Elements() {
-		sel := c.SelectedClusters(pe.Name)
-		set := make(map[int]bool, len(sel))
-		for _, cl := range sel {
-			set[cl] = true
+		set := matching.NewClassSet(c.index.K())
+		for _, cl := range c.SelectedClusters(pe.Name) {
+			set.Add(cl)
 		}
-		allowedClusters[pe.ID()] = set
+		allowed[pe.ID()] = set
 	}
-	var answers []matching.Answer
-	for _, s := range p.Repo.Schemas() {
-		schema := s
-		allowed := func(pid, rid int) bool {
-			e := schema.ByID(rid)
-			if e == nil {
-				return false
-			}
-			cl := c.index.ClusterOfName(e.Name)
-			return cl >= 0 && allowedClusters[pid][cl]
+	return matching.MatchPolicy(ctx, p, delta, &matching.Policy{Allowed: allowed, Classes: c.index.classesOf})
+}
+
+// indexClasses fills ix.classes, reusing prev's array for every schema
+// prev holds — valid when no name of such a schema changed cluster.
+func (ix *Index) indexClasses(prev map[*xmlschema.Schema][]int32) *Index {
+	ix.classes = make(map[*xmlschema.Schema][]int32, ix.repo.Len())
+	for _, s := range ix.repo.Schemas() {
+		cl, ok := prev[s]
+		if !ok {
+			cl = ix.computeClasses(s)
 		}
-		schemaStats, err := matching.EnumerateContext(ctx, p, s, delta, allowed, func(mp matching.Mapping, score float64) {
-			answers = append(answers, matching.Answer{Mapping: mp, Score: score})
-		})
-		st.Add(schemaStats)
-		if err != nil {
-			return nil, st, err
-		}
+		ix.classes[s] = cl
 	}
-	return matching.NewAnswerSet(answers), st, nil
+	return ix
+}
+
+// classesOf returns the per-element cluster array of schema s.
+func (ix *Index) classesOf(s *xmlschema.Schema) []int32 {
+	if cl, ok := ix.classes[s]; ok {
+		return cl
+	}
+	return ix.computeClasses(s) // added to an unsealed repository later
+}
+
+func (ix *Index) computeClasses(s *xmlschema.Schema) []int32 {
+	cl := make([]int32, s.Len())
+	for id, e := range s.Elements() {
+		cl[id] = int32(ix.ClusterOfName(e.Name))
+	}
+	return cl
 }

@@ -136,9 +136,8 @@ func Restore(repo *xmlschema.Repository, st State, scorer engine.Scorer) (*Index
 	if baseNames < 1 {
 		baseNames = len(names)
 	}
-	return &Index{
+	ix := &Index{
 		repo:        repo,
-		names:       names,
 		clustering:  &cluster.Clustering{Assign: assign, K: st.K, Medoids: medoids},
 		medoidNames: medoidNames,
 		nameCluster: nameCluster,
@@ -154,7 +153,8 @@ func Restore(repo *xmlschema.Repository, st State, scorer engine.Scorer) (*Index
 		nameCount: nameCount,
 		baseNames: baseNames,
 		drift:     st.Drift,
-	}, nil
+	}
+	return ix.indexClasses(nil), nil
 }
 
 // SortedAssignments returns the state's (name, cluster) pairs sorted

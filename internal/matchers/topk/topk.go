@@ -1,8 +1,8 @@
 // Package topk implements a non-exhaustive matcher in the spirit of
 // probabilistic top-k pruning (Theobald, Weikum & Schenkel, VLDB 2004),
-// the second improvement family the paper cites. During the
-// depth-first assignment the matcher projects the final cost of a
-// partial mapping as
+// the second improvement family the paper cites, run as a pruning
+// policy on the search kernel (matching.Policy.Margin) that projects
+// the final cost of a partial mapping as
 //
 //	projected = cost so far + margin · (elements still unassigned)
 //
@@ -24,7 +24,6 @@ import (
 	"strconv"
 
 	"repro/internal/matching"
-	"repro/internal/xmlschema"
 )
 
 // Matcher is the aggressive-pruning system. Create with New.
@@ -58,110 +57,15 @@ func (t *Matcher) Match(p *matching.Problem, delta float64) (*matching.AnswerSet
 	return t.MatchContext(context.Background(), p, delta)
 }
 
-// MatchContext implements matching.Matcher: the depth-first assignment
-// polls ctx periodically and returns ctx.Err() when cancelled.
+// MatchContext implements matching.Matcher: the search polls ctx
+// periodically and returns ctx.Err() when cancelled.
 func (t *Matcher) MatchContext(ctx context.Context, p *matching.Problem, delta float64) (*matching.AnswerSet, error) {
 	set, _, err := t.MatchStatsContext(ctx, p, delta)
 	return set, err
 }
 
-// MatchStatsContext implements matching.StatsMatcher.
+// MatchStatsContext implements matching.StatsMatcher: the search
+// kernel under the margin projection.
 func (t *Matcher) MatchStatsContext(ctx context.Context, p *matching.Problem, delta float64) (*matching.AnswerSet, matching.SearchStats, error) {
-	var answers []matching.Answer
-	var st matching.SearchStats
-	done := ctx.Done()
-	for _, s := range p.Repo.Schemas() {
-		if done != nil && ctx.Err() != nil {
-			return nil, st, ctx.Err()
-		}
-		if p.CandidateSkip(s.Name, delta) {
-			// Provably answer-free within delta: the unfiltered search
-			// would prune every branch of this schema anyway.
-			continue
-		}
-		if err := t.matchSchema(ctx, p, s, delta, &answers, &st); err != nil {
-			return nil, st, err
-		}
-	}
-	return matching.NewAnswerSet(answers), st, nil
-}
-
-func (t *Matcher) matchSchema(ctx context.Context, p *matching.Problem, s *xmlschema.Schema, delta float64, out *[]matching.Answer, st *matching.SearchStats) error {
-	m := p.M()
-	targets := make([]int, m)
-	used := make([]bool, s.Len())
-	done := ctx.Done()
-	stopped := false
-
-	var assign func(pid int, cost float64)
-	assign = func(pid int, cost float64) {
-		if stopped {
-			return
-		}
-		if pid == m {
-			st.Yielded++
-			*out = append(*out, matching.Answer{
-				Mapping: matching.Mapping{Schema: s.Name, Targets: append([]int(nil), targets...)},
-				Score:   cost,
-			})
-			return
-		}
-		par := p.ParentOf(pid)
-		try := func(re *xmlschema.Element) {
-			rid := re.ID()
-			if used[rid] {
-				return
-			}
-			st.Candidates++
-			if done != nil && st.Candidates&matching.CancelCheckMask == 0 && ctx.Err() != nil {
-				stopped = true
-				return
-			}
-			c := cost + p.NameCost(s, pid, rid)
-			if par >= 0 {
-				parentImg := s.ByID(targets[par])
-				c += p.EdgeCost(re.Depth() - parentImg.Depth())
-			}
-			// Aggressive projection: assume every remaining element
-			// will contribute at least the margin.
-			remaining := float64(m - pid - 1)
-			if c+t.margin*remaining > delta+1e-12 {
-				st.Pruned++
-				return
-			}
-			used[rid] = true
-			targets[pid] = rid
-			assign(pid+1, c)
-			used[rid] = false
-		}
-		if par < 0 {
-			for _, re := range s.Elements() {
-				if stopped {
-					return
-				}
-				try(re)
-			}
-			return
-		}
-		parentImg := s.ByID(targets[par])
-		maxDepth := parentImg.Depth() + p.Config().MaxDepthStretch
-		parentImg.Walk(func(re *xmlschema.Element) bool {
-			if stopped {
-				return false
-			}
-			if re == parentImg {
-				return true
-			}
-			if re.Depth() > maxDepth {
-				return false
-			}
-			try(re)
-			return !stopped
-		})
-	}
-	assign(0, 0)
-	if stopped {
-		return ctx.Err()
-	}
-	return nil
+	return matching.MatchPolicy(ctx, p, delta, &matching.Policy{Margin: t.margin})
 }

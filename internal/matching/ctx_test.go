@@ -43,7 +43,7 @@ func TestEnumerateContextCancelMidSearch(t *testing.T) {
 	yields := 0
 	var sawErr error
 	for _, s := range prob.Repo.Schemas() {
-		_, err := matching.EnumerateContext(ctx, prob, s, 0.6, nil, func(matching.Mapping, float64) {
+		_, err := matching.Enumerate(ctx, prob, s, 0.6, nil, func(matching.Mapping, float64) {
 			yields++
 			cancel()
 		})

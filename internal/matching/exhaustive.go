@@ -1,10 +1,6 @@
 package matching
 
-import (
-	"context"
-
-	"repro/internal/xmlschema"
-)
+import "context"
 
 // Exhaustive is the original system S1: it enumerates every mapping of
 // the search space with ∆ ≤ δ. Pruning is admissible only (a partial
@@ -33,19 +29,13 @@ func (Exhaustive) MatchContext(ctx context.Context, p *Problem, delta float64) (
 	return set, err
 }
 
-// Enumerate generates every valid mapping of the personal schema into
-// repository schema s with total cost ≤ delta, invoking yield for each.
-// Personal elements are assigned in pre-order (ID order), which
-// guarantees a parent is assigned before its children.
-//
-// A non-nil allowed predicate restricts the candidates of personal
-// element pid to repository elements rid with allowed(pid, rid) — the
-// hook used by the cluster-restricted non-exhaustive matcher. Because
-// restriction only removes candidates and never alters costs, any
-// restricted run produces a subset of the unrestricted run with
-// identical scores.
-//
-// For a cancellable enumeration use EnumerateContext.
-func Enumerate(p *Problem, s *xmlschema.Schema, delta float64, allowed func(pid, rid int) bool, yield func(Mapping, float64)) {
-	EnumerateWithStats(p, s, delta, allowed, yield)
+// MatchWithStats runs the exhaustive system and reports the search
+// work alongside the answers.
+func (Exhaustive) MatchWithStats(p *Problem, delta float64) (*AnswerSet, SearchStats, error) {
+	return Exhaustive{}.MatchStatsContext(context.Background(), p, delta)
+}
+
+// MatchStatsContext implements StatsMatcher.
+func (Exhaustive) MatchStatsContext(ctx context.Context, p *Problem, delta float64) (*AnswerSet, SearchStats, error) {
+	return MatchPolicy(ctx, p, delta, nil)
 }

@@ -8,13 +8,36 @@
 // at threshold δ contains every mapping with ∆ ≤ δ.
 //
 // The package provides the mapping and answer-set types shared by all
-// matchers, the objective function, and the exhaustive reference system
-// S1. Non-exhaustive improvements live in internal/matchers.
+// matchers, the objective function, the search kernel, and the
+// exhaustive reference system S1. Non-exhaustive improvements live in
+// internal/matchers.
+//
+// # Search kernel
+//
+// Enumerate is the one search of the exhaustive, parallel, topk and
+// clustered matchers (beam walks the same SchemaView level by level).
+// Personal elements are assigned in ID order: the root tries every
+// repository element, a child the descendants of its parent's image,
+// in pre-order. Every subtree is the ID range [id, end[id]), so a
+// descendant deeper than MaxDepthStretch below the image skips its
+// subtree in one uncounted jump. Each other candidate not used and
+// allowed by the Policy counts as a Candidate, costing the partial cost
+// plus NameCost plus (below the root) EdgeCost in Score's float64
+// order; above δ+1e-12 (after the policy's Margin projection) it counts
+// as Pruned and ends its branch. Policies only drop candidates or cut
+// branches, so every answer carries the exhaustive score. The kernel
+// allocates nothing per visited node.
+//
+// Answers are ordered by score, ties by the byte order of Mapping.Key(),
+// which a string-free comparator reproduces exactly ("9" > "10",
+// "1,2" < "12", the name followed by ':') and which also identifies
+// mappings for dedup, ScoreIndex and the set operations.
 package matching
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,25 +111,17 @@ type AnswerSet struct {
 // NewAnswerSet sorts the answers (score, then key) and returns the set.
 // Duplicate mappings are collapsed, keeping the lower score — matchers
 // must not produce true duplicates, but the collapse makes the set a
-// set.
+// set. The answers slice is reordered in place and owned by the set.
 func NewAnswerSet(answers []Answer) *AnswerSet {
-	sort.Slice(answers, func(i, j int) bool {
-		if answers[i].Score != answers[j].Score {
-			return answers[i].Score < answers[j].Score
-		}
-		return answers[i].Mapping.Key() < answers[j].Mapping.Key()
-	})
-	dedup := answers[:0]
-	seen := make(map[string]bool, len(answers))
-	for _, a := range answers {
-		k := a.Mapping.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		dedup = append(dedup, a)
-	}
-	return &AnswerSet{answers: dedup}
+	// Dedup in mapping order (duplicates adjacent, lowest score first).
+	slices.SortFunc(answers, compareByMapping)
+	return sortedSet(slices.CompactFunc(answers, func(a, b Answer) bool { return a.Mapping.Equal(b.Mapping) }))
+}
+
+// sortedSet sorts distinct answers into the canonical order.
+func sortedSet(answers []Answer) *AnswerSet {
+	slices.SortFunc(answers, compareAnswers)
+	return &AnswerSet{answers: answers}
 }
 
 // Len returns the total number of answers.
@@ -156,25 +171,36 @@ func (s *AnswerSet) MaxScore() float64 {
 // appears in big with the same score — the A_S2 ⊆ A_S1 containment the
 // paper's technique rests on. It returns a descriptive error for the
 // first violation. Callers checking many sets against one superset
-// should build big.ScoreMap() once and use SubsetOfScores.
+// should build big.ScoreIndex() once and use SubsetOfScores.
 func (s *AnswerSet) SubsetOf(big *AnswerSet) error {
-	return s.SubsetOfScores(big.ScoreMap())
+	return s.SubsetOfScores(big.ScoreIndex())
 }
 
-// ScoreMap returns the mapping-key → score index of the set, for
+// ScoreIndex looks up an answer set's scores by mapping: its answers
+// in mapping order, binary-searched with the set's own comparator.
+type ScoreIndex []Answer
+
+// ScoreIndex returns the mapping → score index of the set, for
 // repeated SubsetOfScores checks against one superset.
-func (s *AnswerSet) ScoreMap() map[string]float64 {
-	scores := make(map[string]float64, len(s.answers))
-	for _, a := range s.answers {
-		scores[a.Mapping.Key()] = a.Score
-	}
-	return scores
+func (s *AnswerSet) ScoreIndex() ScoreIndex {
+	ix := ScoreIndex(slices.Clone(s.answers))
+	slices.SortFunc(ix, compareByMapping)
+	return ix
 }
 
-// SubsetOfScores is SubsetOf against a prebuilt ScoreMap.
-func (s *AnswerSet) SubsetOfScores(scores map[string]float64) error {
+// Lookup returns the score of mapping m, and whether the set holds it.
+func (ix ScoreIndex) Lookup(m Mapping) (float64, bool) {
+	i, ok := slices.BinarySearchFunc(ix, m, func(a Answer, m Mapping) int { return compareMappings(a.Mapping, m) })
+	if !ok {
+		return 0, false
+	}
+	return ix[i].Score, true
+}
+
+// SubsetOfScores is SubsetOf against a prebuilt ScoreIndex.
+func (s *AnswerSet) SubsetOfScores(scores ScoreIndex) error {
 	for _, a := range s.answers {
-		sc, ok := scores[a.Mapping.Key()]
+		sc, ok := scores.Lookup(a.Mapping)
 		if !ok {
 			return fmt.Errorf("matching: answer %s missing from superset", a.Mapping.Key())
 		}

@@ -101,12 +101,13 @@ type Problem struct {
 	// nameCost[schemaName][p*stride+r] = 1 - sim(name_p, name_r),
 	// p = personal element ID, r = repository element ID.
 	nameCost map[string][]float64
-	// edgeCost[d] = structural penalty of stretching one personal edge
-	// across d repository levels (1 ≤ d ≤ MaxDepthStretch).
-	edgeCost []float64
-	m        int // personal schema size
-	edges    int // number of personal parent-child edges (= m-1)
-	parent   []int
+	// edgeW[d] = EdgeCost(d), the weighted penalty of stretching one
+	// personal edge across d repository levels (1 ≤ d ≤
+	// MaxDepthStretch).
+	edgeW  []float64
+	m      int // personal schema size
+	edges  int // number of personal parent-child edges (= m-1)
+	parent []int
 	// Candidate filtering (nil cand = unfiltered). For a filtered
 	// problem, table entries the filter pruned hold a cost lower bound
 	// instead of a computed score, so Score and SearchSpaceSize are only
@@ -171,10 +172,11 @@ func NewProblem(personal *xmlschema.Schema, repo *xmlschema.Repository, cfg Conf
 		}
 	}
 	// Edge penalty: a direct parent-child image costs 0; every extra
-	// level of stretch costs more, asymptotically 1: 1 - 1/d.
-	p.edgeCost = make([]float64, ncfg.MaxDepthStretch+1)
-	for d := 1; d <= ncfg.MaxDepthStretch; d++ {
-		p.edgeCost[d] = 1 - 1/float64(d)
+	// level of stretch costs more, asymptotically 1: 1 - 1/d, weighted
+	// and spread over the personal edges.
+	p.edgeW = make([]float64, ncfg.MaxDepthStretch+1)
+	for d := 1; d <= ncfg.MaxDepthStretch && p.edges > 0; d++ {
+		p.edgeW[d] = ncfg.StructWeight * (1 - 1/float64(d)) / float64(p.edges)
 	}
 	// Build the per-schema name-cost tables through the scoring engine,
 	// fanning schemas out over a worker pool. Each worker writes a
@@ -186,15 +188,19 @@ func NewProblem(personal *xmlschema.Schema, repo *xmlschema.Repository, cfg Conf
 		p.candDelta = ncfg.CandidateDelta
 		p.candFloor = 1 - ncfg.CandidateDelta*float64(p.m)/ncfg.NameWeight
 	}
-	schemas := repo.Schemas()
-	tables, cands := tb.buildAll(schemas, ncfg.BuildWorkers)
+	p.storeTables(tb, repo.Schemas())
+	return p, nil
+}
+
+// storeTables builds the cost tables of schemas and records them.
+func (p *Problem) storeTables(tb *tableBuilder, schemas []*xmlschema.Schema) {
+	tables, cands := tb.buildAll(schemas, p.cfg.BuildWorkers)
 	for si, s := range schemas {
 		p.nameCost[s.Name] = tables[si]
 		if p.cand != nil {
 			p.cand[s.Name] = cands[si]
 		}
 	}
-	return p, nil
 }
 
 // tableBuilder constructs one schema's name-cost table, filtered
@@ -431,7 +437,7 @@ func (p *Problem) RebaseCandidates(repo *xmlschema.Repository, filter CandidateF
 		Repo:      repo,
 		cfg:       p.cfg,
 		nameCost:  make(map[string][]float64, repo.Len()),
-		edgeCost:  p.edgeCost,
+		edgeW:     p.edgeW,
 		m:         p.m,
 		edges:     p.edges,
 		parent:    p.parent,
@@ -450,33 +456,21 @@ func (p *Problem) RebaseCandidates(repo *xmlschema.Repository, filter CandidateF
 	if p.cand != nil {
 		np.cand = make(map[string]schemaCand, repo.Len())
 	}
-	schemas := repo.Schemas()
 	// Changed schemas fan out over the same worker pool NewProblem
 	// uses; unchanged ones transfer their (immutable) tables directly.
-	var changed []int
-	for si, s := range schemas {
+	var changed []*xmlschema.Schema
+	for _, s := range repo.Schemas() {
 		if p.Repo.Schema(s.Name) == s {
 			np.nameCost[s.Name] = p.nameCost[s.Name]
 			if np.cand != nil {
 				np.cand[s.Name] = p.cand[s.Name]
 			}
 		} else {
-			changed = append(changed, si)
+			changed = append(changed, s)
 		}
 	}
 	if len(changed) > 0 {
-		tb := np.newTableBuilder()
-		changedSchemas := make([]*xmlschema.Schema, len(changed))
-		for ci, si := range changed {
-			changedSchemas[ci] = schemas[si]
-		}
-		tables, cands := tb.buildAll(changedSchemas, p.cfg.BuildWorkers)
-		for ci, si := range changed {
-			np.nameCost[schemas[si].Name] = tables[ci]
-			if np.cand != nil {
-				np.cand[schemas[si].Name] = cands[ci]
-			}
-		}
+		np.storeTables(np.newTableBuilder(), changed)
 	}
 	return np, nil
 }
@@ -509,10 +503,7 @@ func (p *Problem) EdgeCost(d int) float64 {
 	if d < 1 || d > p.cfg.MaxDepthStretch {
 		return 2 // outside SS; above any normalized ∆
 	}
-	if p.edges == 0 {
-		return 0
-	}
-	return p.cfg.StructWeight * p.edgeCost[d] / float64(p.edges)
+	return p.edgeW[d]
 }
 
 // Score computes ∆(mapping) from scratch. Matchers accumulate the same
@@ -578,7 +569,7 @@ func (p *Problem) Valid(m Mapping) bool {
 func (p *Problem) SearchSpaceSize() int {
 	n := 0
 	for _, s := range p.Repo.Schemas() {
-		Enumerate(p, s, 2, nil, func(Mapping, float64) { n++ })
+		Enumerate(context.Background(), p, s, 2, nil, func(Mapping, float64) { n++ })
 	}
 	return n
 }

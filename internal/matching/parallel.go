@@ -3,10 +3,8 @@ package matching
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
-	"repro/internal/xmlschema"
+	"repro/internal/engine"
 )
 
 // ParallelExhaustive is the exhaustive system S1 with the per-schema
@@ -14,11 +12,6 @@ import (
 // the same answer set as Exhaustive (the per-schema enumerations are
 // independent and NewAnswerSet orders deterministically); only the
 // wall-clock changes. Workers defaults to GOMAXPROCS when ≤ 0.
-//
-// The workers read the Problem's scorer-built cost tables; when the
-// problem was built over a shared engine.Memo, its per-shard locks let
-// this matcher, the cluster index, and repeated improvement runs grow
-// one cache without serializing on a single lock.
 type ParallelExhaustive struct {
 	// Workers bounds the number of concurrent schema enumerations.
 	Workers int
@@ -38,10 +31,10 @@ func (p ParallelExhaustive) Match(prob *Problem, delta float64) (*AnswerSet, err
 	return p.MatchContext(context.Background(), prob, delta)
 }
 
-// MatchContext implements Matcher: on cancellation the job feed stops,
-// every worker unwinds its enumeration at the next periodic check, and
-// the call returns ctx.Err() once all workers have exited — no worker
-// goroutine outlives the call.
+// MatchContext implements Matcher: on cancellation every worker unwinds
+// its enumeration at the next periodic check and skips the schemas it
+// still claims at their entry check; the call returns ctx.Err() once
+// all workers have exited — no worker goroutine outlives the call.
 func (p ParallelExhaustive) MatchContext(ctx context.Context, prob *Problem, delta float64) (*AnswerSet, error) {
 	set, _, err := p.MatchStatsContext(ctx, prob, delta)
 	return set, err
@@ -50,63 +43,24 @@ func (p ParallelExhaustive) MatchContext(ctx context.Context, prob *Problem, del
 // MatchStatsContext implements StatsMatcher, summing the search work
 // across workers.
 func (p ParallelExhaustive) MatchStatsContext(ctx context.Context, prob *Problem, delta float64) (*AnswerSet, SearchStats, error) {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	schemas := prob.Repo.Schemas()
-	if workers > len(schemas) {
-		workers = len(schemas)
-	}
-	if workers <= 1 {
-		return Exhaustive{}.MatchStatsContext(ctx, prob, delta)
-	}
-
-	jobs := make(chan *xmlschema.Schema)
-	done := ctx.Done()
-	var mu sync.Mutex
+	workers := engine.ResolveWorkers(p.Workers, len(schemas))
+	cols := make([]Collector, workers)
+	stats := make([]SearchStats, workers)
+	engine.ForEachWorker(len(schemas), workers, func(w, i int) {
+		st, _ := Enumerate(ctx, prob, schemas[i], delta, nil, cols[w].Add)
+		stats[w].Add(st)
+	})
 	var answers []Answer
 	var total SearchStats
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Collect locally, merge once per schema batch to keep the
-			// critical section short.
-			var local []Answer
-			var localStats SearchStats
-			for s := range jobs {
-				st, err := EnumerateContext(ctx, prob, s, delta, nil, func(m Mapping, score float64) {
-					local = append(local, Answer{Mapping: m, Score: score})
-				})
-				localStats.Add(st)
-				if err != nil {
-					// Cancelled: drain remaining jobs so the feeder
-					// never blocks, without enumerating them.
-					for range jobs {
-					}
-					break
-				}
-			}
-			mu.Lock()
-			answers = append(answers, local...)
-			total.Add(localStats)
-			mu.Unlock()
-		}()
+	for w := range cols {
+		answers = append(answers, cols[w].Answers()...)
+		total.Add(stats[w])
 	}
-feed:
-	for _, s := range schemas {
-		select {
-		case jobs <- s:
-		case <-done:
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, total, err
 	}
-	return NewAnswerSet(answers), total, nil
+	// Every schema went to exactly one worker, so the merged answers
+	// are distinct and only need the canonical order.
+	return sortedSet(answers), total, nil
 }

@@ -4,84 +4,46 @@ package matching
 // increments A(δ2) \ A(δ1) and containments A_S2 ⊆ A_S1; these helpers
 // make those relations directly computable for diagnostics and tests.
 
-// Intersect returns the answers present in both sets (by mapping key),
+// Intersect returns the answers present in both sets (by mapping),
 // with a's scores. The result is a valid AnswerSet.
 func Intersect(a, b *AnswerSet) *AnswerSet {
-	inB := make(map[string]bool, b.Len())
-	for _, ans := range b.All() {
-		inB[ans.Mapping.Key()] = true
-	}
-	var out []Answer
-	for _, ans := range a.All() {
-		if inB[ans.Mapping.Key()] {
-			out = append(out, ans)
-		}
-	}
-	return NewAnswerSet(out)
+	return filterBy(a, b, true)
 }
 
 // Diff returns the answers of a that are absent from b — for the
 // exhaustive system and an improvement, exactly the answers the
 // improvement misses.
 func Diff(a, b *AnswerSet) *AnswerSet {
-	inB := make(map[string]bool, b.Len())
-	for _, ans := range b.All() {
-		inB[ans.Mapping.Key()] = true
-	}
+	return filterBy(a, b, false)
+}
+
+// filterBy keeps the answers of a whose mapping's presence in b equals
+// inB.
+func filterBy(a, b *AnswerSet, inB bool) *AnswerSet {
+	ix := b.ScoreIndex()
 	var out []Answer
 	for _, ans := range a.All() {
-		if !inB[ans.Mapping.Key()] {
+		if _, ok := ix.Lookup(ans.Mapping); ok == inB {
 			out = append(out, ans)
 		}
 	}
 	return NewAnswerSet(out)
 }
 
-// Union merges answer sets whose mapping keys are pairwise disjoint —
-// the scatter-gather case, where each input covers a distinct schema
-// partition — into one set with exactly the deterministic (score, key)
-// order a single matcher run over the whole repository would produce.
-// Because every AnswerSet is already sorted, the merge is a k-way pick
-// of the smallest head: no re-sort, no dedup map, O(total·k)
-// comparisons for k sets. Nil sets are skipped. Overlapping inputs are
-// NOT collapsed; callers merging possibly-duplicated answers build the
-// set with NewAnswerSet instead.
+// Union merges answer sets whose mappings are pairwise disjoint — the
+// scatter-gather case, where each input covers a distinct schema
+// partition — into one set with exactly the canonical order a single
+// matcher run over the whole repository would produce. Nil sets are
+// skipped. Overlapping inputs are NOT collapsed; callers merging
+// possibly-duplicated answers build the set with NewAnswerSet instead.
 func Union(sets ...*AnswerSet) *AnswerSet {
-	n := 0
-	live := make([][]Answer, 0, len(sets))
+	var all []Answer
 	for _, s := range sets {
-		if s != nil && s.Len() > 0 {
-			live = append(live, s.All())
-			n += s.Len()
+		if s != nil {
+			all = append(all, s.answers...)
 		}
 	}
-	if len(live) == 1 {
-		return &AnswerSet{answers: live[0]}
-	}
-	out := make([]Answer, 0, n)
-	for len(live) > 0 {
-		best := 0
-		for i := 1; i < len(live); i++ {
-			if answerLess(live[i][0], live[best][0]) {
-				best = i
-			}
-		}
-		out = append(out, live[best][0])
-		if live[best] = live[best][1:]; len(live[best]) == 0 {
-			live = append(live[:best], live[best+1:]...)
-		}
-	}
-	return &AnswerSet{answers: out}
-}
-
-// answerLess is the canonical answer order (score, then mapping key —
-// the order NewAnswerSet sorts by); keys are only materialized on score
-// ties.
-func answerLess(a, b Answer) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Mapping.Key() < b.Mapping.Key()
+	return sortedSet(all)
 }
 
 // Increment returns the answers of set with δ1 < score ≤ δ2 — the

@@ -111,3 +111,36 @@ func TestTreeDistanceMetricProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: the precomputed layout agrees with the element tree —
+// depth[id] is Depth(), and [id, end[id]) is exactly the pre-order ID
+// range of id's subtree (every ID in it has id as an ancestor, or is
+// id itself; every ID outside it does not).
+func TestLayoutProperty(t *testing.T) {
+	f := func(seed []byte) bool {
+		s, err := NewSchema("prop", randomTreeFrom(seed))
+		if err != nil {
+			return false
+		}
+		depth, end := s.Layout()
+		if len(depth) != s.Len() || len(end) != s.Len() {
+			return false
+		}
+		for _, e := range s.Elements() {
+			id := e.ID()
+			if int(depth[id]) != e.Depth() || int(end[id]) != id+e.Size() {
+				return false
+			}
+			for _, o := range s.Elements() {
+				inside := o.ID() >= id && o.ID() < int(end[id])
+				if inside != (o == e || o.HasAncestor(e)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Error(err)
+	}
+}

@@ -138,6 +138,12 @@ type Schema struct {
 	root  *Element
 	byID  []*Element
 	count int
+	// depth[id] is element id's distance from the root; end[id] is the
+	// exclusive pre-order end of its subtree, so the subtree of id is
+	// exactly the ID range [id, end[id]) — a descendant walk is a range
+	// scan, and skipping a subtree is one assignment.
+	depth []int32
+	end   []int32
 }
 
 // Validation errors returned by NewSchema.
@@ -193,6 +199,18 @@ func NewSchema(name string, root *Element) (*Schema, error) {
 	if err := build(root, nil); err != nil {
 		return nil, err
 	}
+	// Parents precede their children in pre-order, and a subtree ends
+	// where its last child's subtree ends.
+	s.depth, s.end = make([]int32, s.count), make([]int32, s.count)
+	for id := s.count - 1; id >= 0; id-- {
+		s.end[id] = int32(id + 1)
+		if kids := s.byID[id].Children; len(kids) > 0 {
+			s.end[id] = s.end[kids[len(kids)-1].id]
+		}
+	}
+	for id := 1; id < s.count; id++ {
+		s.depth[id] = s.depth[s.byID[id].parent.id] + 1
+	}
 	return s, nil
 }
 
@@ -209,6 +227,12 @@ func (s *Schema) ByID(id int) *Element {
 	}
 	return s.byID[id]
 }
+
+// Layout returns the schema's precomputed tree layout, indexed by
+// element ID: depth[id] equals ByID(id).Depth(), and the subtree rooted
+// at id is the contiguous pre-order ID range [id, end[id]). Both slices
+// are shared; callers must not modify them.
+func (s *Schema) Layout() (depth, end []int32) { return s.depth, s.end }
 
 // Elements returns all elements in pre-order (ID order). The returned
 // slice is shared; callers must not modify it.

@@ -362,7 +362,10 @@
 //     cost-table construction, with a "cost_tables" child on cold
 //     builds), "baseline_wait" when an effectiveness bound waits on
 //     the shared baseline, and "search" around the matcher run, tagged
-//     with pruning and cache counters;
+//     with the search-work counters of matching.SearchStats
+//     ("candidates", "pruned", "yielded" — the same counts a run's
+//     Result.Stats.Search carries), the answer count, and the
+//     candidate-pruning and cache counters;
 //   - sharded search records one "shard" span per scatter leg and a
 //     "merge" span for the gather.
 //

@@ -348,9 +348,9 @@ type session struct {
 	wideDone bool
 
 	baseSet *matching.AnswerSet
-	// baseScores indexes baseSet (mapping key → score), built once so
+	// baseScores indexes baseSet (mapping → score), built once so
 	// per-request containment checks never rebuild it.
-	baseScores map[string]float64
+	baseScores matching.ScoreIndex
 	baseCurve  eval.Curve
 	baseBuild  chan struct{} // non-nil while a baseline build is in flight
 }
@@ -757,9 +757,9 @@ func (s *Service) baselineFor(ctx context.Context, e *session) (*matching.Answer
 				// so a recovered panic upstream never wedges waiters
 				// on a channel that will not close.
 				defer func() {
-					var scores map[string]float64
+					var scores matching.ScoreIndex
 					if err == nil && set != nil {
-						scores = set.ScoreMap()
+						scores = set.ScoreIndex()
 					}
 					e.mu.Lock()
 					if err == nil && set != nil {
@@ -833,7 +833,7 @@ func (s *Service) seedBaseline(e *session, set *matching.AnswerSet) {
 	if err != nil {
 		return // leave unseeded; a real baseline run will surface it
 	}
-	scores := set.ScoreMap()
+	scores := set.ScoreIndex()
 	e.mu.Lock()
 	if e.baseSet == nil && e.baseBuild == nil {
 		e.baseSet, e.baseScores, e.baseCurve = set, scores, curve
@@ -939,6 +939,9 @@ func (s *Service) matchAt(ctx context.Context, st *serviceState, req Request) (*
 		if err == nil {
 			searchSpan.SetInt("answers", int64(set.Len()))
 		}
+		searchSpan.SetInt("candidates", int64(search.Candidates))
+		searchSpan.SetInt("pruned", int64(search.Pruned))
+		searchSpan.SetInt("yielded", int64(search.Yielded))
 		if cs, ok := prob.CandidateStats(); ok {
 			searchSpan.SetInt("pairs_pruned", cs.Pruned)
 			searchSpan.SetInt("schemas_skipped", int64(cs.SkippedSchemas))

@@ -205,3 +205,47 @@ func TestTraceDrainNoLeakedSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceSearchSpanCounters: the "search" span carries the run's
+// search-work counters, equal to the SearchStats in Result.Stats.
+func TestTraceSearchSpanCounters(t *testing.T) {
+	tenants := testTenants(t, 43, 1, 1, 12)
+	srv := NewServer(WithWorkers(1))
+	defer srv.Close()
+	addAll(t, srv, tenants)
+	for _, spec := range []string{"exhaustive", "topk:0.035", "beam:8", "clustered"} {
+		ctx, tr := tracedCtx("trace-counters-" + spec)
+		res, err := srv.Match(ctx, tenants[0].Name, Request{Personal: tenants[0].Personals()[0], Delta: 0.4, Matcher: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int64{
+			"candidates": int64(res.Stats.Search.Candidates),
+			"pruned":     int64(res.Stats.Search.Pruned),
+			"yielded":    int64(res.Stats.Search.Yielded),
+		}
+		if want["candidates"] == 0 {
+			t.Fatalf("%s: no search work recorded", spec)
+		}
+		td := exportClosed(t, tr)
+		found := false
+		for _, sp := range td.Spans {
+			if sp.Name != "search" {
+				continue
+			}
+			found = true
+			got := map[string]any{}
+			for _, a := range sp.Attrs {
+				got[a.Key] = a.Value
+			}
+			for k, v := range want {
+				if got[k] != v {
+					t.Errorf("%s: search span %s = %v, want %d", spec, k, got[k], v)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("%s: no search span", spec)
+		}
+	}
+}

@@ -248,21 +248,18 @@ func (s *Service) rebaseSession(old *session, nst *serviceState, diff xmlschema.
 	for _, ch := range diff.Replaced {
 		fresh = append(fresh, ch.New)
 	}
+	var col matching.Collector
 	for _, sch := range fresh {
-		_, err := matching.EnumerateContext(context.Background(), np, sch, s.MaxDelta(), nil,
-			func(mp matching.Mapping, score float64) {
-				answers = append(answers, matching.Answer{Mapping: mp, Score: score})
-			})
-		if err != nil {
+		if _, err := matching.Enumerate(context.Background(), np, sch, s.MaxDelta(), nil, col.Add); err != nil {
 			return ne // keep the tables; the baseline rebuilds lazily
 		}
 	}
-	set := matching.NewAnswerSet(answers)
+	set := matching.NewAnswerSet(append(answers, col.Answers()...))
 	curve, err := s.measureBaseline(set)
 	if err != nil {
 		return ne
 	}
-	ne.baseSet, ne.baseScores, ne.baseCurve = set, set.ScoreMap(), curve
+	ne.baseSet, ne.baseScores, ne.baseCurve = set, set.ScoreIndex(), curve
 	return ne
 }
 
