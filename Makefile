@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test bench bench-smoke bench-record bench-check race alloc-pin shuffle fuzz-smoke load-smoke churn-smoke serve-smoke store-smoke shard-prop cand-prop store-prop
+.PHONY: ci fmt vet build test bench bench-smoke bench-record bench-check race alloc-pin shuffle fuzz-smoke load-smoke churn-smoke serve-smoke store-smoke cand-prop store-prop
 
-ci: fmt vet build race alloc-pin shard-prop cand-prop store-prop fuzz-smoke serve-smoke store-smoke bench-check
+ci: fmt vet build race alloc-pin cand-prop store-prop fuzz-smoke serve-smoke store-smoke bench-check
 
 # gofmt enforcement: fail (listing the offenders) when any tracked Go
 # file is not gofmt-clean.
@@ -40,24 +40,16 @@ alloc-pin:
 shuffle:
 	$(GO) test -shuffle=on ./...
 
-# Sharded-search parity anchor: the scatter-gather answer sets must be
-# bit-identical to the unsharded matchers for every registry family,
-# strategy, and shard count — run shuffled and race-enabled so the
-# concurrent fan-out is exercised in both orders. (The full `race`
-# target also runs it; this explicit shuffled pass keeps the property
-# gated even if the suite run above is ever narrowed.)
-shard-prop:
-	$(GO) test -race -shuffle=on -run 'TestShardParityProperty|TestSearchParity' ./match ./internal/shard
-
 # Candidate-pruning parity anchor: a service with WithCandidateIndex
 # must return answer sets bit-identical to one without, for every
-# registry matcher family, threshold, and shard count — including
-# across live snapshot churn — and Apply-maintained indexes must equal
-# from-scratch builds. Race-enabled and shuffled like shard-prop.
+# registry matcher family and threshold — including across live
+# snapshot churn — and Apply-maintained indexes must equal from-scratch
+# builds. Race-enabled and shuffled so the concurrent paths run in both
+# orders, and gated even if the full suite run above is ever narrowed.
 cand-prop:
 	$(GO) test -race -shuffle=on \
-		-run 'TestCandidateParityProperty|TestCandidateParityUnderChurn|TestFilteredProblemParity|TestApplyMatchesScratch|TestShardCandidate' \
-		./match ./internal/matching ./internal/candindex ./internal/shard
+		-run 'TestCandidateParityProperty|TestCandidateParityUnderChurn|TestFilteredProblemParity|TestApplyMatchesScratch' \
+		./match ./internal/matching ./internal/candindex
 
 # Crash-safety anchor: the writer is killed at a random byte offset on
 # every round, the store is reopened, and recovery must be bit-identical
@@ -153,13 +145,12 @@ bench:
 	$(GO) test -bench 'BenchmarkEngine' -benchmem .
 
 # Perf-harness smoke: run every engine, figure and matcher benchmark —
-# plus the incremental-vs-rebuild index maintenance benchmark and the
-# 1-vs-4 shard scatter-gather comparison — for a single iteration so
-# harness rot (broken fixtures, diverged answer sets) is caught by the
-# gate without paying full benchmark time.
+# plus the incremental-vs-rebuild index maintenance benchmark — for a
+# single iteration so harness rot (broken fixtures, diverged answer
+# sets) is caught by the gate without paying full benchmark time.
 bench-smoke:
 	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEngine|BenchmarkFig|BenchmarkMatcher|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel' \
+		-bench 'BenchmarkEngine|BenchmarkFig|BenchmarkMatcher|BenchmarkIndexIncrementalVsRebuild|BenchmarkCandidateIndex|BenchmarkKernel' \
 		-benchtime 1x -benchmem .
 
 # Record the perf trajectory: run the benchmark suite plus a short

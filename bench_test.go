@@ -7,8 +7,6 @@
 package repro_test
 
 import (
-	"context"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -22,7 +20,6 @@ import (
 	"repro/internal/matchers/clustered"
 	"repro/internal/matchers/topk"
 	"repro/internal/matching"
-	"repro/internal/shard"
 	"repro/internal/similarity"
 	"repro/internal/synth"
 	"repro/internal/xmlschema"
@@ -288,42 +285,6 @@ func BenchmarkIndexIncrementalVsRebuild(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkShardedScatterGather compares single-shard and multi-shard
-// scatter-gather exhaustive search on the Figure-8/9 workload (the
-// 100-schema fixture corpus). The shards partition the repository
-// schemas, so the merged answer set is bit-identical to the unsharded
-// exhaustive system (verified each iteration against the fixture's S1);
-// on ≥ 2 CPUs the 4-shard scatter must beat the 1-shard wall-clock —
-// the premise of the sharded serving path. The per-shard problems reuse
-// the fixture problem's cost tables via Rebase, so the timing isolates
-// the scatter itself.
-func BenchmarkShardedScatterGather(b *testing.B) {
-	fixture(b)
-	snap, err := xmlschema.NewSnapshot(fix.scenario.Repo)
-	if err != nil {
-		b.Fatal(err)
-	}
-	delta := fix.pl.MaxDelta()
-	exhaustive := func(*shard.Shard) (matching.Matcher, error) { return matching.Exhaustive{}, nil }
-	for _, k := range []int{1, 4} {
-		sr, err := shard.NewSearcher(snap, shard.Config{K: k})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("shards=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				set, _, err := sr.Search(context.Background(), fix.problem, delta, exhaustive)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if set.Len() != fix.pl.S1.Len() {
-					b.Fatalf("answer set diverged: %d answers, want %d", set.Len(), fix.pl.S1.Len())
-				}
-			}
-		})
-	}
 }
 
 // ---------------------------------------------------------------------------

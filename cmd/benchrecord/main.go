@@ -1,9 +1,9 @@
 // Command benchrecord snapshots the repository's performance
 // trajectory. In record mode (the default) it runs the benchmark suite
-// (engine memoization, incremental index maintenance, sharded
-// scatter-gather, candidate-index pruning) plus a short matchload
-// replay, and writes the parsed results to the next free BENCH_<n>.json
-// so successive PRs leave a comparable perf trail. In -check mode it
+// (engine memoization, incremental index maintenance, candidate-index
+// pruning, similarity kernels) plus a short matchload replay, and
+// writes the parsed results to the next free BENCH_<n>.json so
+// successive PRs leave a comparable perf trail. In -check mode it
 // compares the two most recent BENCH_<n>.json files and fails on large
 // ns/op regressions — with fewer than two recordings there is nothing
 // to compare and the check passes trivially.
@@ -30,7 +30,7 @@ import (
 )
 
 // defaultBench selects every benchmark family the perf trail tracks.
-const defaultBench = "BenchmarkEngine|BenchmarkIndexIncrementalVsRebuild|BenchmarkShardedScatterGather|BenchmarkCandidateIndex|BenchmarkKernel"
+const defaultBench = "BenchmarkEngine|BenchmarkIndexIncrementalVsRebuild|BenchmarkCandidateIndex|BenchmarkKernel"
 
 // record is the on-disk shape of one BENCH_<n>.json snapshot.
 type record struct {

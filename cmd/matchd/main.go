@@ -33,7 +33,7 @@
 //	matchd [-corpus DIR] [-store-dir DIR] [-addr HOST:PORT] [-addr-file PATH]
 //	       [-token T1,T2] [-admin-token A1] [-tls-cert F -tls-key F]
 //	       [-workers N] [-queue N] [-resident N] [-tenant-limit N]
-//	       [-shards K] [-drain-timeout D] [-max-body N] [-quiet]
+//	       [-drain-timeout D] [-max-body N] [-quiet]
 //	       [-store-sync] [-compact-after N] [-compact-interval D] [-store-memo N]
 //
 //	schemagen -out /tmp/corpus -tenants 4 -personals 4
@@ -129,7 +129,6 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 		queue        = fs.Int("queue", 0, "admission queue depth (0: default)")
 		resident     = fs.Int("resident", 0, "max resident tenant services (0: unbounded)")
 		tenantLimit  = fs.Int("tenant-limit", 0, "per-tenant concurrency bound (0: unbounded)")
-		shards       = fs.Int("shards", 0, "per-tenant scatter-gather shards (0: unsharded)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "SIGTERM drain budget before forced shutdown")
 		maxBody      = fs.Int64("max-body", 0, "request body size limit in bytes (0: default)")
 		quiet        = fs.Bool("quiet", false, "suppress the per-request access log")
@@ -186,9 +185,6 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 	if *tenantLimit > 0 {
 		sopts = append(sopts, match.WithTenantConcurrency(*tenantLimit))
 	}
-	if *shards > 0 {
-		sopts = append(sopts, match.WithTenantShards(*shards))
-	}
 	if sr != nil {
 		// Tenants added after boot (AddTenant, admin registration) are
 		// durable from registration.
@@ -206,7 +202,7 @@ func run(args []string, out io.Writer, stop <-chan os.Signal) error {
 	if sr != nil {
 		t0 := time.Now()
 		var err error
-		if recovered, err = sr.recoverTenants(srv, *shards, out); err != nil {
+		if recovered, err = sr.recoverTenants(srv, out); err != nil {
 			return err
 		}
 		if len(recovered) > 0 {

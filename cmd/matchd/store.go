@@ -59,7 +59,7 @@ func openStoreRuntime(dir string, sync bool, memoSlice, compactWhen int) (*store
 // recovered snapshot. A log that cannot produce a state (no base, bad
 // header) is reported with its typed error and NOT served — the
 // caller may still register the tenant from a corpus file.
-func (sr *storeRuntime) recoverTenants(srv *match.Server, shards int, out io.Writer) (map[string]bool, error) {
+func (sr *storeRuntime) recoverTenants(srv *match.Server, out io.Writer) (map[string]bool, error) {
 	names, err := sr.st.Tenants()
 	if err != nil {
 		return nil, err
@@ -99,9 +99,6 @@ func (sr *storeRuntime) recoverTenants(srv *match.Server, shards int, out io.Wri
 
 		snap, handle := ts.Snapshot, sr.st.Tenant(name)
 		opts := []match.Option{match.WithScorer(memo), match.WithStore(handle)}
-		if shards > 0 {
-			opts = append(opts, match.WithShards(shards))
-		}
 		if ix != nil {
 			opts = append(opts, match.WithRestoredIndex(ix))
 		}

@@ -26,23 +26,15 @@
 // generates one), each derived from a local mirror of the tenant — the
 // wire driver of the durable-store smoke test.
 //
-// With -shards K > 0 every tenant serves scatter-gather sharded search
-// (match.WithTenantShards) and each replayed spec is wrapped as
-// sharded:K:<spec>; the report then adds the fan-out section —
-// slowest-shard latency (the scatter critical path), merge overhead,
-// and the fan-out ratio (total per-shard work over the critical path,
-// i.e. the parallel speedup the partitioning permits given the CPUs).
-//
 // Usage:
 //
 //	matchload [-tenants N] [-personals M] [-schemas S] [-requests R]
 //	          [-rate RPS] [-workers W] [-queue Q] [-tenant-limit L]
 //	          [-resident K] [-matchers specs] [-delta D] [-seed N]
-//	          [-sizedist uniform|zipf] [-churn-rate UPS] [-shards K]
+//	          [-sizedist uniform|zipf] [-churn-rate UPS]
 //	          [-compare] [-quiet] [-cpuprofile file] [-memprofile file]
 //	matchload -tenants 8 -personals 4 -requests 400 -rate 200
 //	matchload -requests 300 -rate 150 -churn-rate 10
-//	matchload -requests 200 -shards 4
 package main
 
 import (
@@ -85,12 +77,6 @@ type outcome struct {
 	latency    time.Duration
 	overloaded bool
 	err        error
-	// Scatter-gather fan-out metrics, recorded when the request ran a
-	// sharded spec.
-	sharded  bool
-	shardMax time.Duration // slowest shard (the scatter critical path)
-	shardSum time.Duration // total per-shard work
-	merge    time.Duration // answer-set merge overhead
 	// Inline span trace, present when the replay ran with -trace.
 	trace *obs.TraceData
 }
@@ -112,7 +98,6 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 1, "corpus and mix seed")
 	sizedist := fs.String("sizedist", "uniform", "tenant schema size distribution: uniform or zipf (heavy-tailed)")
 	churnRate := fs.Float64("churn-rate", 0, "live schema updates per second during the replay (0 = off)")
-	shards := fs.Int("shards", 0, "scatter-gather shard count per tenant (0 = unsharded)")
 	compare := fs.Bool("compare", false, "also compare batched vs sequential serving throughput")
 	remote := fs.String("remote", "", "replay over the wire protocol: 'self' starts an in-process matchd listener, anything else is a matchd address")
 	remoteToken := fs.String("remote-token", "", "bearer token sent with every -remote request")
@@ -145,24 +130,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *shards < 0 {
-		return fmt.Errorf("negative shard count %d", *shards)
-	}
-	// Sharded mode: every spec of the mix runs scatter-gather with the
-	// requested count (specs already sharded are left alone).
-	if *shards > 0 {
-		for i, sp := range specs {
-			if sp.Family == match.FamilySharded {
-				continue
-			}
-			wrapped, err := match.Parse(fmt.Sprintf("sharded:%d:%s", *shards, sp.String()))
-			if err != nil {
-				return err
-			}
-			specs[i] = wrapped
-		}
-	}
-
 	cfg := synth.DefaultConfig(0)
 	cfg.NumSchemas = *schemas
 	cfg.SizeDist = *sizedist
@@ -185,20 +152,13 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "note: resident bound %d < %d tenants — timings include eviction rebuilds\n",
 			residentBound, len(fleet))
 	}
-	serverOpts := func() []match.ServerOption {
-		opts := []match.ServerOption{
+	newServer := func() (*match.Server, error) {
+		srv := match.NewServer(
 			match.WithWorkers(*workers),
 			match.WithQueueDepth(*queue),
 			match.WithTenantConcurrency(*tenantLimit),
 			match.WithResidentTenants(residentBound),
-		}
-		if *shards > 0 {
-			opts = append(opts, match.WithTenantShards(*shards))
-		}
-		return opts
-	}
-	newServer := func() (*match.Server, error) {
-		srv := match.NewServer(serverOpts()...)
+		)
 		for _, tn := range fleet {
 			if err := srv.AddTenant(tn.Name, tn.Repo()); err != nil {
 				srv.Close()
@@ -232,7 +192,6 @@ func run(args []string, out io.Writer) error {
 			rate:       *rate,
 			churnRate:  *churnRate,
 			seed:       *seed,
-			shards:     *shards,
 			trace:      *trace,
 			quiet:      *quiet,
 			newServer:  newServer,
@@ -250,7 +209,7 @@ func run(args []string, out io.Writer) error {
 	// timed and reported — it is the cost a cold tenant pays.
 	ctx := context.Background()
 	warmStart := time.Now()
-	if err := warmFleet(ctx, srv, fleet, *delta, *shards); err != nil {
+	if err := warmFleet(ctx, srv, fleet, *delta); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "warmup: all tenants resident in %s\n\n", time.Since(warmStart).Round(time.Millisecond))
@@ -266,7 +225,7 @@ func run(args []string, out io.Writer) error {
 	// Open-loop replay.
 	outcomes, wall := replayMix(mix, *rate, func(lr loadRequest) outcome {
 		start := time.Now()
-		res, err := srv.Match(ctx, lr.tenant, match.Request{
+		_, err := srv.Match(ctx, lr.tenant, match.Request{
 			Personal: lr.personal,
 			Delta:    *delta,
 			Matcher:  lr.spec,
@@ -275,13 +234,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			oc.err = err
 			oc.overloaded = isOverloaded(err)
-			return oc
-		}
-		if ss := res.Stats.Sharded; ss != nil {
-			oc.sharded = true
-			oc.shardMax = ss.MaxShardWall()
-			oc.shardSum = ss.SumShardWall()
-			oc.merge = ss.Merge
 		}
 		return oc
 	})
@@ -297,10 +249,6 @@ func run(args []string, out io.Writer) error {
 	st := srv.Stats()
 	fmt.Fprintf(out, "  server     %d workers, queue %d, %d resident tenants, %d groups accepted\n",
 		st.Workers, st.QueueDepth, st.ResidentTenants, st.Accepted)
-
-	if *shards > 0 {
-		reportFanout(out, *shards, outcomes)
-	}
 
 	if ch != nil {
 		fmt.Fprintln(out)
@@ -328,7 +276,7 @@ func run(args []string, out io.Writer) error {
 
 	if *compare {
 		fmt.Fprintln(out)
-		if err := runCompare(ctx, out, newServer, fleet, mix, *delta, *shards); err != nil {
+		if err := runCompare(ctx, out, newServer, fleet, mix, *delta); err != nil {
 			return err
 		}
 	}
@@ -336,21 +284,14 @@ func run(args []string, out io.Writer) error {
 }
 
 // warmFleet makes every tenant resident: one batched clustered request
-// per personal builds the cluster indexes and session cost tables. In
-// sharded mode the warmup spec is sharded too, so the scatter-gather
-// searchers (partitioning plans, per-shard indexes) are built before
-// the clock starts.
-func warmFleet(ctx context.Context, srv *match.Server, fleet []*synth.Tenant, delta float64, shards int) error {
-	warmSpec := "clustered"
-	if shards > 0 {
-		warmSpec = fmt.Sprintf("sharded:%d:clustered", shards)
-	}
+// per personal builds the cluster indexes and session cost tables.
+func warmFleet(ctx context.Context, srv *match.Server, fleet []*synth.Tenant, delta float64) error {
 	for _, tn := range fleet {
 		var batch []match.BatchRequest
 		for _, p := range tn.Personals() {
 			batch = append(batch, match.BatchRequest{
 				Tenant:  tn.Name,
-				Request: match.Request{Personal: p, Delta: delta, Matcher: warmSpec},
+				Request: match.Request{Personal: p, Delta: delta, Matcher: "clustered"},
 			})
 		}
 		for i, r := range srv.MatchBatch(ctx, batch) {
@@ -370,13 +311,13 @@ func warmFleet(ctx context.Context, srv *match.Server, fleet []*synth.Tenant, de
 // request coalescing, and (on multi-core hosts) cross-group
 // parallelism. Identical answer sets for the two modes are proven by
 // TestServerBatchParityWithSequential; this measures only speed.
-func runCompare(ctx context.Context, out io.Writer, newServer func() (*match.Server, error), fleet []*synth.Tenant, mix []loadRequest, delta float64, shards int) error {
+func runCompare(ctx context.Context, out io.Writer, newServer func() (*match.Server, error), fleet []*synth.Tenant, mix []loadRequest, delta float64) error {
 	seq, err := newServer()
 	if err != nil {
 		return err
 	}
 	defer seq.Close()
-	if err := warmFleet(ctx, seq, fleet, delta, shards); err != nil {
+	if err := warmFleet(ctx, seq, fleet, delta); err != nil {
 		return err
 	}
 	seqStart := time.Now()
@@ -394,7 +335,7 @@ func runCompare(ctx context.Context, out io.Writer, newServer func() (*match.Ser
 		return err
 	}
 	defer bat.Close()
-	if err := warmFleet(ctx, bat, fleet, delta, shards); err != nil {
+	if err := warmFleet(ctx, bat, fleet, delta); err != nil {
 		return err
 	}
 	batch := make([]match.BatchRequest, len(mix))
@@ -418,38 +359,6 @@ func runCompare(ctx context.Context, out io.Writer, newServer func() (*match.Ser
 	fmt.Fprintf(out, "  batched    %s (%.1f req/s)\n", batWall.Round(time.Millisecond), n/batWall.Seconds())
 	fmt.Fprintf(out, "  speedup    %.2fx\n", seqWall.Seconds()/batWall.Seconds())
 	return nil
-}
-
-// reportFanout summarizes the scatter-gather metrics of the sharded
-// replay: the slowest-shard latency is the scatter critical path, the
-// merge overhead is what gathering costs on top, and the fan-out ratio
-// (total shard work over the critical path) is the parallel speedup the
-// partitioning permits — achieved only when GOMAXPROCS covers the
-// shard count, which is why it is reported as a ratio, not a speedup.
-func reportFanout(out io.Writer, shards int, outcomes []outcome) {
-	var maxes, merges []time.Duration
-	var sumWork, sumCritical time.Duration
-	for _, oc := range outcomes {
-		if !oc.sharded {
-			continue
-		}
-		maxes = append(maxes, oc.shardMax)
-		merges = append(merges, oc.merge)
-		sumWork += oc.shardSum
-		sumCritical += oc.shardMax
-	}
-	fmt.Fprintf(out, "\nsharded fan-out (%d shards, %d sharded requests):\n", shards, len(maxes))
-	if len(maxes) == 0 {
-		return
-	}
-	fmt.Fprintf(out, "  slowest shard  p50 %s  p90 %s  max %s\n",
-		percentile(maxes, 0.50), percentile(maxes, 0.90), percentile(maxes, 1.00))
-	fmt.Fprintf(out, "  merge overhead p50 %s  p90 %s  max %s\n",
-		percentile(merges, 0.50), percentile(merges, 0.90), percentile(merges, 1.00))
-	if sumCritical > 0 {
-		fmt.Fprintf(out, "  fan-out ratio  %.2fx (shard work / critical path; the parallel-speedup ceiling)\n",
-			float64(sumWork)/float64(sumCritical))
-	}
 }
 
 // replayMix fires the request mix open-loop (rate 0 = one burst) and

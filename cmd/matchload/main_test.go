@@ -70,26 +70,6 @@ func TestRunChurn(t *testing.T) {
 	}
 }
 
-func TestRunSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load replay in -short mode")
-	}
-	var b strings.Builder
-	err := run([]string{"-tenants", "2", "-personals", "2", "-schemas", "10",
-		"-requests", "24", "-queue", "64", "-shards", "3", "-quiet"}, &b)
-	if err != nil {
-		t.Fatalf("matchload -shards: %v\noutput:\n%s", err, b.String())
-	}
-	out := b.String()
-	for _, want := range []string{
-		"sharded fan-out (3 shards", "slowest shard", "merge overhead", "fan-out ratio",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestRunRateLimited(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load replay in -short mode")
@@ -118,9 +98,6 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-tenants", "0"}, &b); err == nil {
 		t.Error("zero tenants should error")
-	}
-	if err := run([]string{"-shards", "-1"}, &b); err == nil {
-		t.Error("negative shard count should error")
 	}
 	if err := run([]string{"-nosuchflag"}, &b); err == nil {
 		t.Error("unknown flag should error")

@@ -27,7 +27,6 @@ type remoteRun struct {
 	rate       float64
 	churnRate  float64 // wire updates per second (0 = off)
 	seed       uint64
-	shards     int
 	trace      bool // inline span traces + per-stage decomposition
 	quiet      bool
 	newServer  func() (*match.Server, error)
@@ -91,10 +90,6 @@ func runRemote(out io.Writer, rr remoteRun) error {
 	// Wire warmup, mirroring warmFleet: one batched clustered request
 	// per tenant makes every tenant resident and builds the sessions
 	// the replay will hit.
-	warmSpec := "clustered"
-	if rr.shards > 0 {
-		warmSpec = fmt.Sprintf("sharded:%d:clustered", rr.shards)
-	}
 	warmStart := time.Now()
 	for _, tn := range rr.fleet {
 		var items []httpserve.BatchItem
@@ -102,7 +97,7 @@ func runRemote(out io.Writer, rr remoteRun) error {
 			items = append(items, httpserve.BatchItem{
 				Tenant: tn.Name,
 				MatchRequest: httpserve.MatchRequest{
-					Personal: httpserve.WireSchema(p), Delta: rr.delta, Matcher: warmSpec,
+					Personal: httpserve.WireSchema(p), Delta: rr.delta, Matcher: "clustered",
 				},
 			})
 		}
@@ -145,17 +140,6 @@ func runRemote(out io.Writer, rr remoteRun) error {
 			return oc
 		}
 		oc.trace = res.Trace
-		if ss := res.Stats.Sharded; ss != nil {
-			oc.sharded = true
-			oc.merge = time.Duration(ss.MergeNs)
-			for _, ps := range ss.PerShard {
-				w := time.Duration(ps.WallNs)
-				oc.shardSum += w
-				if w > oc.shardMax {
-					oc.shardMax = w
-				}
-			}
-		}
 		return oc
 	})
 	if wch != nil {
@@ -165,9 +149,6 @@ func runRemote(out io.Writer, rr remoteRun) error {
 	}
 	if err := reportReplay(out, wireOutcomes, wireWall, rr.rate); err != nil {
 		return err
-	}
-	if rr.shards > 0 {
-		reportFanout(out, rr.shards, wireOutcomes)
 	}
 	if rr.trace {
 		if err := reportTraceStages(out, wireOutcomes); err != nil {
@@ -236,7 +217,7 @@ func runRemote(out io.Writer, rr remoteRun) error {
 		return err
 	}
 	defer ref.Close()
-	if err := warmFleet(ctx, ref, rr.fleet, rr.delta, rr.shards); err != nil {
+	if err := warmFleet(ctx, ref, rr.fleet, rr.delta); err != nil {
 		return err
 	}
 	localOutcomes, localWall := replayMix(rr.mix, rr.rate, func(lr loadRequest) outcome {

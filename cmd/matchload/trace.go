@@ -13,27 +13,19 @@ import (
 )
 
 // stageOrder is the reporting order of the span-derived stages, edge
-// to leaf. Absent stages (e.g. merge on unsharded specs) are skipped.
+// to leaf. Absent stages (e.g. baseline_wait on exhaustive specs) are
+// skipped.
 var stageOrder = []string{
 	"decode", "queue_wait", "session_build", "cost_tables",
-	"baseline_wait", "search", "shard_critical", "merge",
+	"baseline_wait", "search",
 }
 
-// stageDurations reduces one span tree to per-stage wall clock:
-// durations of same-named spans sum, except shards, which report the
-// slowest one (the scatter critical path — the shards run in
-// parallel, so their sum is work, not wall).
+// stageDurations reduces one span tree to per-span-name wall clock:
+// durations of same-named spans sum.
 func stageDurations(td *obs.TraceData) map[string]time.Duration {
 	out := map[string]time.Duration{}
 	for _, sp := range td.Spans {
-		switch sp.Name {
-		case "shard":
-			if d := sp.Duration(); d > out["shard_critical"] {
-				out["shard_critical"] = d
-			}
-		case "decode", "queue_wait", "session_build", "cost_tables", "baseline_wait", "search", "merge":
-			out[sp.Name] += sp.Duration()
-		}
+		out[sp.Name] += sp.Duration()
 	}
 	return out
 }

@@ -296,34 +296,6 @@ func TestBuildRejectsEmpty(t *testing.T) {
 	}
 }
 
-// TestDeriveMatchesDirectBuild: a shard index derived from the global
-// one must bound exactly like an index built directly over the
-// sub-repository.
-func TestDeriveMatchesDirectBuild(t *testing.T) {
-	personal, repo := corpusNames(t, 5)
-	global, err := Build(repo, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := xmlschema.NewRepository()
-	for i, s := range repo.Schemas() {
-		if i%3 == 0 {
-			if err := sub.Add(s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	derived, err := global.Derive(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := Build(sub, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBounds(t, derived, direct, personal)
-}
-
 // TestBounderRejectsForeignSchema: the pointer guard behind rebase
 // safety — a schema object the index never saw yields false.
 func TestBounderRejectsForeignSchema(t *testing.T) {

@@ -301,13 +301,6 @@ func (ix *Index) Apply(next *xmlschema.Repository, diff xmlschema.Diff) (*Index,
 	return nix, nil
 }
 
-// Derive builds an index over a sub-repository (a shard) sharing this
-// index's interner, bounder, and metric, so per-shard derivation never
-// re-profiles a name the global index has seen.
-func (ix *Index) Derive(repo *xmlschema.Repository) (*Index, error) {
-	return build(repo, ix.metric, ix.bnd, ix.nontrivial, ix.in)
-}
-
 // Repository returns the repository generation this index describes.
 func (ix *Index) Repository() *xmlschema.Repository { return ix.repo }
 

@@ -70,12 +70,12 @@ func NewNameMatrix(names []string, sc engine.Scorer, workers int) (*Matrix, erro
 // NearestMedoid returns the index of the medoid name nearest to name —
 // THE assignment rule of this package's k-medoids clustering, shared by
 // every consumer that inserts names into an existing clustering (the
-// clustered matcher's incremental index maintenance, the shard
-// partitioner's routing). Keeping it here keeps all call sites
-// bit-identical: distances are evaluated in the distance matrix's
-// argument orientation (greater name first, matching BuildSymmetric's
-// (names[i], names[j]) with i > j over a sorted name list, so a
-// slightly asymmetric metric reproduces the matrix's values exactly),
+// clustered matcher's incremental index maintenance and restore).
+// Keeping it here keeps all call sites bit-identical: distances are
+// evaluated in the distance matrix's argument orientation (greater name
+// first, matching BuildSymmetric's (names[i], names[j]) with i > j over
+// a sorted name list, so a slightly asymmetric metric reproduces the
+// matrix's values exactly),
 // the medoid name itself is distance 0 (the matrix's zero diagonal),
 // and ties keep the lowest index via strict-< comparison. k-medoids
 // terminates on a full nearest-medoid assignment, which is what makes

@@ -3,10 +3,10 @@
 // bearer-token authentication, per-request deadline propagation,
 // request-size limits, typed error→status mapping, access logging, and
 // a Prometheus text-format /metrics endpoint exposing the admission,
-// cache, shard fan-out, and candidate-pruning telemetry the lower
-// layers collect. cmd/matchd owns the listener lifecycle (TLS, signal
-// driven graceful drain); this package owns everything between the
-// connection and the Server.
+// cache and candidate-pruning telemetry the lower layers collect.
+// cmd/matchd owns the listener lifecycle (TLS, signal driven graceful
+// drain); this package owns everything between the connection and the
+// Server.
 //
 // # Wire protocol (v1)
 //

@@ -543,6 +543,7 @@ func TestBadRequests(t *testing.T) {
 		{"overflowing delta", `{"personal":{"name":"p","root":{"name":"r"}},"delta":1e999}`, http.StatusBadRequest},
 		{"negative limit", `{"personal":{"name":"p","root":{"name":"r"}},"delta":0.4,"limit":-1}`, http.StatusBadRequest},
 		{"bad matcher", `{"personal":{"name":"p","root":{"name":"r"}},"delta":0.4,"matcher":"quantum"}`, http.StatusBadRequest},
+		{"sharded matcher", `{"personal":{"name":"p","root":{"name":"r"}},"delta":0.4,"matcher":"sharded:2:beam:8"}`, http.StatusBadRequest},
 		{"oversized personal", `{"personal":{"name":"p","root":{"name":"r","children":[{"name":"a"},{"name":"b"},{"name":"c"},{"name":"d"}]}},"delta":0.4}`, http.StatusBadRequest},
 		{"oversized body", fmt.Sprintf(`{"personal":{"name":"p","root":{"name":"r","type":%q}},"delta":0.4}`, strings.Repeat("x", 8192)), http.StatusRequestEntityTooLarge},
 	}

@@ -28,11 +28,6 @@ type metrics struct {
 	answers  atomic.Int64
 	searches atomic.Int64 // successfully served match requests
 
-	shardedRequests atomic.Int64
-	shardWallNs     atomic.Int64 // summed per-shard work
-	shardCriticalNs atomic.Int64 // summed slowest-shard walls
-	shardMergeNs    atomic.Int64
-
 	candRequests       atomic.Int64
 	candPairs          atomic.Int64
 	candPruned         atomic.Int64
@@ -47,8 +42,6 @@ type metrics struct {
 	sessionBuild *obs.Histogram
 	baselineWait *obs.Histogram
 	searchDur    *obs.Histogram
-	shardCrit    *obs.Histogram
-	mergeDur     *obs.Histogram
 }
 
 // stageHistograms lists the per-stage duration histograms in their
@@ -65,8 +58,6 @@ func (m *metrics) stageHistograms() []struct {
 		{"session_build", m.sessionBuild},
 		{"baseline_wait", m.baselineWait},
 		{"search", m.searchDur},
-		{"shard_critical", m.shardCrit},
-		{"merge", m.mergeDur},
 	}
 }
 
@@ -84,8 +75,6 @@ func newMetrics() *metrics {
 		sessionBuild: obs.NewHistogram(nil),
 		baselineWait: obs.NewHistogram(nil),
 		searchDur:    obs.NewHistogram(nil),
-		shardCrit:    obs.NewHistogram(nil),
-		mergeDur:     obs.NewHistogram(nil),
 	}
 }
 
@@ -113,14 +102,6 @@ func (m *metrics) observeResult(res *match.Result) {
 	m.searchDur.Observe(res.Stats.Wall)
 	if res.Stats.BaselineWait > 0 {
 		m.baselineWait.Observe(res.Stats.BaselineWait)
-	}
-	if ss := res.Stats.Sharded; ss != nil {
-		m.shardedRequests.Add(1)
-		m.shardWallNs.Add(int64(ss.SumShardWall()))
-		m.shardCriticalNs.Add(int64(ss.MaxShardWall()))
-		m.shardMergeNs.Add(int64(ss.Merge))
-		m.shardCrit.Observe(ss.MaxShardWall())
-		m.mergeDur.Observe(ss.Merge)
 	}
 	if cs := res.Stats.Candidates; cs != nil {
 		m.candRequests.Add(1)
@@ -252,15 +233,6 @@ func (h *Handler) writeMetrics(w io.Writer) error {
 	p.sample("matchd_match_requests_total", "", float64(m.searches.Load()))
 	p.family("matchd_answers_total", "Answers returned across all served requests, before Limit truncation.", "counter")
 	p.sample("matchd_answers_total", "", float64(m.answers.Load()))
-
-	p.family("matchd_sharded_requests_total", "Served requests that ran scatter-gather sharded search.", "counter")
-	p.sample("matchd_sharded_requests_total", "", float64(m.shardedRequests.Load()))
-	p.family("matchd_shard_work_seconds_total", "Summed per-shard search work of sharded requests.", "counter")
-	p.sample("matchd_shard_work_seconds_total", "", float64(m.shardWallNs.Load())/1e9)
-	p.family("matchd_shard_critical_seconds_total", "Summed slowest-shard walls (the scatter critical path).", "counter")
-	p.sample("matchd_shard_critical_seconds_total", "", float64(m.shardCriticalNs.Load())/1e9)
-	p.family("matchd_shard_merge_seconds_total", "Summed answer-set merge time of sharded requests.", "counter")
-	p.sample("matchd_shard_merge_seconds_total", "", float64(m.shardMergeNs.Load())/1e9)
 
 	p.family("matchd_candidate_requests_total", "Served requests answered from candidate-filtered cost tables.", "counter")
 	p.sample("matchd_candidate_requests_total", "", float64(m.candRequests.Load()))

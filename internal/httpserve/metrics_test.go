@@ -120,7 +120,7 @@ func TestMetricsEndpoint(t *testing.T) {
 					if _, err := cl.Match(ctx, tn, req); err != nil {
 						t.Error(err)
 					}
-				}(tn.Name, wireRequest(p, 0.4, "sharded:2:beam:8"))
+				}(tn.Name, wireRequest(p, 0.4, "beam:8"))
 			}
 		}
 		wg.Add(1)
@@ -145,8 +145,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`matchd_http_request_seconds_total{route="match"}`,
 		"matchd_match_requests_total",
 		"matchd_answers_total",
-		"matchd_sharded_requests_total",
-		"matchd_shard_work_seconds_total",
 		"matchd_server_workers",
 		"matchd_server_accepted_total",
 		fmt.Sprintf("matchd_tenant_version{tenant=%q}", fleet[0].Name),
@@ -155,9 +153,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if _, ok := first[want]; !ok {
 			t.Errorf("series %s missing from the exposition", want)
 		}
-	}
-	if first["matchd_sharded_requests_total"] == 0 {
-		t.Error("sharded traffic not reflected in matchd_sharded_requests_total")
 	}
 	if first["matchd_match_requests_total"] == 0 {
 		t.Error("no match requests counted")
@@ -237,7 +232,7 @@ func TestMetricsHistogramBuckets(t *testing.T) {
 
 	const n = 6
 	for i := 0; i < n; i++ {
-		if _, err := cl.Match(ctx, fleet[0].Name, wireRequest(fleet[0].Personals()[0], 0.4, "sharded:2:beam:8")); err != nil {
+		if _, err := cl.Match(ctx, fleet[0].Name, wireRequest(fleet[0].Personals()[0], 0.4, "beam:8")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,8 +272,6 @@ func TestMetricsHistogramBuckets(t *testing.T) {
 	check("matchd_stage_duration_seconds", `stage="search"`, n)
 	check("matchd_stage_duration_seconds", `stage="queue_wait"`, n)
 	check("matchd_stage_duration_seconds", `stage="session_build"`, n)
-	check("matchd_stage_duration_seconds", `stage="shard_critical"`, n)
-	check("matchd_stage_duration_seconds", `stage="merge"`, n)
 }
 
 // TestMetricsLabelEscaping: tenant names with quotes, backslashes, and

@@ -62,7 +62,7 @@ func TestTraceOptInRoundtrip(t *testing.T) {
 	defer cl.Close()
 	ctx := context.Background()
 
-	req := wireRequest(fleet[0].Personals()[0], 0.4, "sharded:2:beam:8")
+	req := wireRequest(fleet[0].Personals()[0], 0.4, "beam:8")
 	req.Trace = true
 	res, err := cl.Match(ctx, fleet[0].Name, req)
 	if err != nil {
@@ -75,13 +75,10 @@ func TestTraceOptInRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	names := spanNames(res.Trace)
-	for _, want := range []string{"decode", "queue_wait", "request", "session_build", "cost_tables", "search", "shard", "merge"} {
+	for _, want := range []string{"decode", "queue_wait", "request", "session_build", "cost_tables", "search"} {
 		if names[want] == 0 {
 			t.Errorf("span %q missing from inline trace (got %v)", want, names)
 		}
-	}
-	if names["shard"] != 2 {
-		t.Errorf("want 2 shard spans for a 2-shard scatter, got %d", names["shard"])
 	}
 	if res.Stats.SessionBuildNs <= 0 {
 		t.Error("wire stats carry no session_build wall")

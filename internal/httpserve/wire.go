@@ -84,22 +84,6 @@ type CacheStats struct {
 	Entries int   `json:"entries"`
 }
 
-// ShardStat is one shard's slice of a scatter-gather request.
-type ShardStat struct {
-	WallNs  int64       `json:"wall_ns"`
-	Answers int         `json:"answers"`
-	Search  SearchStats `json:"search"`
-}
-
-// ShardStats mirrors shard.Stats: the fan-out of one sharded request.
-type ShardStats struct {
-	Shards   int         `json:"shards"`
-	Searched int         `json:"searched"`
-	PerShard []ShardStat `json:"per_shard,omitempty"`
-	MergeNs  int64       `json:"merge_ns"`
-	WallNs   int64       `json:"wall_ns"`
-}
-
 // CandidateStats mirrors matching.CandidateStats: how much of the cost
 // table the candidate filter proved irrelevant.
 type CandidateStats struct {
@@ -116,7 +100,6 @@ type Stats struct {
 	WallNs     int64           `json:"wall_ns"`
 	Search     SearchStats     `json:"search"`
 	Cache      CacheStats      `json:"cache"`
-	Sharded    *ShardStats     `json:"sharded,omitempty"`
 	Candidates *CandidateStats `json:"candidates,omitempty"`
 	Answers    int             `json:"answers"`
 	// QueueWaitNs, SessionBuildNs, and BaselineWaitNs are the request's
@@ -367,22 +350,6 @@ func wireStats(st match.Stats) Stats {
 		QueueWaitNs:    st.QueueWait.Nanoseconds(),
 		SessionBuildNs: st.SessionBuild.Nanoseconds(),
 		BaselineWaitNs: st.BaselineWait.Nanoseconds(),
-	}
-	if ss := st.Sharded; ss != nil {
-		ws := &ShardStats{
-			Shards:   ss.Shards,
-			Searched: ss.Searched,
-			MergeNs:  ss.Merge.Nanoseconds(),
-			WallNs:   ss.Wall.Nanoseconds(),
-		}
-		for _, ps := range ss.PerShard {
-			ws.PerShard = append(ws.PerShard, ShardStat{
-				WallNs:  ps.Wall.Nanoseconds(),
-				Answers: ps.Answers,
-				Search:  SearchStats(ps.Search),
-			})
-		}
-		out.Sharded = ws
 	}
 	if cs := st.Candidates; cs != nil {
 		out.Candidates = &CandidateStats{

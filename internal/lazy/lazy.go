@@ -1,6 +1,6 @@
 // Package lazy provides the one small build-once cell shared by the
 // lazily constructed, generation-carried values of the serving layer
-// (cluster indexes, scatter-gather searchers). The pattern appears
+// (cluster and candidate indexes). The pattern appears
 // wherever a snapshot generation owns an expensive derived structure:
 // the first user builds it while concurrent users wait, an incremental
 // update may instead seed the next generation's cell with an

@@ -170,35 +170,6 @@ func (ix *Index) withMembership(repo *xmlschema.Repository, nameCluster, counts 
 	return nix.indexClasses(prev)
 }
 
-// Derive returns a sub-repository index sharing the receiver's
-// clustering: every distinct name of repo (whose schemas must be drawn
-// from the same name population the receiver's medoids were fit on —
-// typically a shard of the receiver's repository) is assigned to its
-// nearest medoid, exactly as Rebase does, and the re-cluster fallback
-// of Apply is disabled on the derived index. Pinning the fallback is
-// what keeps a family of indexes derived from one clustering
-// merge-compatible forever: a shard-local re-cluster would give that
-// shard different medoids than its siblings, and a search scattered
-// across the family would stop agreeing with the same search over a
-// single repository-wide index. Quality-driven re-clustering therefore
-// happens at the level of the index Derive was called on; derived
-// indexes follow it by re-deriving.
-func (ix *Index) Derive(repo *xmlschema.Repository) (*Index, error) {
-	nix, err := ix.Rebase(repo)
-	if err != nil {
-		return nil, err
-	}
-	nix.cfg.RebuildFraction = -1
-	return nix, nil
-}
-
-// SameClustering reports whether two indexes share one clustering (the
-// same medoid set, by identity). Incremental Apply, Rebase and Derive
-// all preserve the clustering; only a full (re)build replaces it.
-func (ix *Index) SameClustering(o *Index) bool {
-	return o != nil && ix.clustering == o.clustering
-}
-
 // nearestMedoid returns the cluster whose medoid name is nearest to
 // name, by the package-shared k-medoids assignment rule
 // (cluster.NearestMedoid: distance-matrix argument orientation, zero

@@ -30,22 +30,6 @@ func filterBy(a, b *AnswerSet, inB bool) *AnswerSet {
 	return NewAnswerSet(out)
 }
 
-// Union merges answer sets whose mappings are pairwise disjoint — the
-// scatter-gather case, where each input covers a distinct schema
-// partition — into one set with exactly the canonical order a single
-// matcher run over the whole repository would produce. Nil sets are
-// skipped. Overlapping inputs are NOT collapsed; callers merging
-// possibly-duplicated answers build the set with NewAnswerSet instead.
-func Union(sets ...*AnswerSet) *AnswerSet {
-	var all []Answer
-	for _, s := range sets {
-		if s != nil {
-			all = append(all, s.answers...)
-		}
-	}
-	return sortedSet(all)
-}
-
 // Increment returns the answers of set with δ1 < score ≤ δ2 — the
 // paper's Â(δ1–δ2) = A(δ2) \ A(δ1). δ2 < δ1 yields an empty set.
 func Increment(set *AnswerSet, delta1, delta2 float64) []Answer {

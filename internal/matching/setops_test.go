@@ -94,45 +94,3 @@ func TestIncrementConsistentWithCounts(t *testing.T) {
 			len(inc), set.CountAt(d2)-set.CountAt(d1))
 	}
 }
-
-// TestUnionDisjointMergeOrder: the k-way merge of disjoint sorted sets
-// must be bit-identical to building one set from the concatenated
-// answers — same answers, same (score, key) order — including score
-// ties broken by key across sets.
-func TestUnionDisjointMergeOrder(t *testing.T) {
-	a := setFrom(pair("a", 0.3), pair("c", 0.1), pair("e", 0.2))
-	b := setFrom(pair("b", 0.2), pair("d", 0.1)) // score ties with a's answers
-	c := setFrom(pair("f", 0.05))
-	got := Union(a, b, c)
-	var all []Answer
-	for _, s := range []*AnswerSet{a, b, c} {
-		all = append(all, s.All()...)
-	}
-	want := NewAnswerSet(all)
-	if got.Len() != want.Len() {
-		t.Fatalf("Union len = %d, want %d", got.Len(), want.Len())
-	}
-	for i, ans := range got.All() {
-		w := want.All()[i]
-		if !ans.Mapping.Equal(w.Mapping) || ans.Score != w.Score {
-			t.Fatalf("rank %d: %s@%v, want %s@%v", i,
-				ans.Mapping.Key(), ans.Score, w.Mapping.Key(), w.Score)
-		}
-	}
-}
-
-// TestUnionEdgeCases: nil and empty inputs are skipped; a single live
-// set passes through; no inputs yield an empty set.
-func TestUnionEdgeCases(t *testing.T) {
-	if got := Union(); got.Len() != 0 {
-		t.Fatalf("Union() len = %d", got.Len())
-	}
-	if got := Union(nil, setFrom(), nil); got.Len() != 0 {
-		t.Fatalf("Union(nil, empty, nil) len = %d", got.Len())
-	}
-	one := setFrom(pair("x", 0.2), pair("y", 0.1))
-	got := Union(nil, one)
-	if got.Len() != 2 || got.All()[0].Mapping.Schema != "y" {
-		t.Fatalf("single-set Union = %+v", got.All())
-	}
-}

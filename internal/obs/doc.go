@@ -10,9 +10,9 @@
 // single mutex and refer to their parent by index, so recording a span
 // costs one short critical section and (amortized) one slice slot —
 // tracing sits at stage granularity (queue wait, session build, cost
-// tables, search, per-shard scatter, merge), never on the scored-pair
-// hot path. Span is a value-type handle; the zero Span no-ops every
-// method, so code instruments unconditionally:
+// tables, search), never on the scored-pair hot path. Span is a
+// value-type handle; the zero Span no-ops every method, so code
+// instruments unconditionally:
 //
 //	ctx, sp := obs.StartSpan(ctx, "cost_tables")
 //	defer sp.End()

@@ -212,7 +212,7 @@ func TestConcurrentSpans(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sp := root.StartChild("shard")
+				sp := root.StartChild("worker")
 				sp.SetInt("g", int64(g))
 				sp.End()
 			}

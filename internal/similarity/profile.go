@@ -73,10 +73,9 @@ func (p *NameProfile) GramTotal() int { return len(p.Grams) }
 
 // Interner builds and caches NameProfiles. One Interner is shared by a
 // scoring kernel and everything derived from it (candidate-index
-// generations, per-shard derives), so a name is profiled once per
-// process lifetime, not once per snapshot or per session. It only ever
-// grows; profiles are small and the vocabulary of a workload is bounded
-// in practice. Safe for concurrent use; the lookup fast path is a
+// generations), so a name is profiled once per process lifetime, not
+// once per snapshot or per session. It only ever grows; profiles are
+// small and the vocabulary of a workload is bounded in practice. Safe for concurrent use; the lookup fast path is a
 // read-locked map hit.
 type Interner struct {
 	mu     sync.RWMutex

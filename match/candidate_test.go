@@ -11,10 +11,9 @@ import (
 )
 
 // candidateSpecs is the matcher grid the parity property sweeps: every
-// registry family, sharded and unsharded.
+// registry family.
 var candidateSpecs = []string{
 	"exhaustive", "parallel", "beam:8", "topk:0.05", "clustered",
-	"sharded:3", "sharded:2:beam:4",
 }
 
 // candidateScenario builds one synthetic corpus and a pair of services
@@ -91,8 +90,8 @@ func checkCandidateParity(t *testing.T, label string, personal *xmlschema.Schema
 }
 
 // TestCandidateParityProperty is the end-to-end guarantee of the
-// candidate index: for every registry matcher family, request threshold,
-// and shard count, a service with WithCandidateIndex returns answer
+// candidate index: for every registry matcher family and request
+// threshold, a service with WithCandidateIndex returns answer
 // sets bit-identical to one without — scores, keys, and rank order —
 // both within the pruning horizon (where tables are filtered) and above
 // it (where the service must route to an unfiltered problem).
@@ -118,8 +117,7 @@ func TestCandidateParityProperty(t *testing.T) {
 // TestCandidateParityUnderChurn re-checks the parity property across
 // live snapshot swaps: both services apply the same update sequence
 // (add, replace, remove) and must stay bit-identical, exercising the
-// incremental index Apply, the filtered session rebase, and the carried
-// sharded searchers.
+// incremental index Apply and the filtered session rebase.
 func TestCandidateParityUnderChurn(t *testing.T) {
 	const horizon = 0.45
 	deltas := []float64{0.3, 0.45}

@@ -86,56 +86,13 @@
 // # Matcher registry
 //
 // Systems are named by string specs — "exhaustive", "parallel[:N]",
-// "beam:W", "topk:M", "clustered[:T]", "sharded[:K[:spec]]" — parsed
-// by Parse and resolved against the service by Service.Matcher. Spec
-// strings are canonical: every matcher's Name() returns its spec, and
-// Parse(Name()) yields the matcher back, so reports, configs, and logs
-// all speak the same identifiers. Trailing content after a complete
-// spec ("beam:4:junk") is rejected with the typed ErrTrailingSpec.
-// Request.System accepts an out-of-registry matching.Matcher instance
-// instead.
-//
-// # Sharded search
-//
-// A "sharded:K:spec" request partitions the repository schemas into K
-// shards and runs the inner spec on every shard in parallel, merging
-// the per-shard answer sets — scatter-gather over one repository,
-// served by an internal shard.Searcher the service builds lazily per
-// shard count and maintains across updates. WithShards(k) sets the
-// default count (so bare "sharded" resolves) and switches the service
-// baseline to "sharded:k"; WithShardStrategy selects the partitioner.
-//
-// Partitioning strategies. "hash" (default) assigns each schema by a
-// stable hash of its name: balanced in expectation, zero analysis
-// cost, and assignment never depends on the rest of the corpus.
-// "cluster" groups element names with the same k-medoids machinery the
-// clustered index uses and co-locates schemas sharing vocabulary:
-// per-shard name populations get tighter (fewer distinct names per
-// shard index, more selective cluster restriction per shard), at the
-// price of possible imbalance — the hash strategy is the right default
-// until profiles show shard indexes dominated by vocabulary spread.
-//
-// Merge semantics. Every registry matcher searches repository schemas
-// independently — the exhaustive enumeration, the beam frontier (per
-// schema), and the top-k projection (per branch) never share state
-// across schemas, and a mapping never spans schemas. Shards partition
-// the schemas, so the union of per-shard answer sets at the global δ
-// is bit-identical to the unsharded answer set: same answers, same
-// scores, same deterministic order (TestShardParityProperty). The
-// clustered family keeps parity because every shard's index is derived
-// from one repository-wide clustering — all shards select against the
-// same medoid set the unsharded index uses. Consequently "sharded:K"
-// (inner exhaustive) is itself an exhaustive system: it may serve as
-// the bounds baseline, and non-exhaustive sharded requests
-// ("sharded:K:beam:8") carry bounds exactly like their unsharded
-// forms.
-//
-// Updates. Service.Update routes the snapshot diff to only the
-// affected shards: unaffected shards keep their sub-snapshots, scoring
-// caches, and derived indexes by pointer across the swap, while
-// affected shards rebuild their sub-snapshot and patch their index
-// incrementally (clustered.Index.Apply) — a one-schema update
-// re-indexes one shard, not the corpus.
+// "beam:W", "topk:M", "clustered[:T]" — parsed by Parse and resolved
+// against the service by Service.Matcher. Spec strings are canonical:
+// every matcher's Name() returns its spec, and Parse(Name()) yields the
+// matcher back, so reports, configs, and logs all speak the same
+// identifiers. Trailing content after a complete spec ("beam:4:junk")
+// is rejected with the typed ErrTrailingSpec. Request.System accepts
+// an out-of-registry matching.Matcher instance instead.
 //
 // # Candidate pruning
 //
@@ -172,12 +129,9 @@
 // Delta and Floor echo the horizon and the per-pair similarity floor
 // it implies.
 //
-// Updates and shards. Service.Update advances the index by applying
-// the same snapshot diff the cluster index consumes
-// (candindex.Index.Apply, copy-on-write over interned name profiles),
-// and sharded searchers derive per-shard candidate indexes from the
-// service's global one, carrying them across updates shard-by-shard
-// like every other per-shard structure. The option adds no new
+// Updates. Service.Update advances the index by applying the same
+// snapshot diff the cluster index consumes (candindex.Index.Apply,
+// copy-on-write over interned name profiles). The option adds no new
 // registry spec surface — requests opt in simply by running against a
 // service built with WithCandidateIndex, so registry parsing (and
 // FuzzParseSpec's seed corpus) is unchanged.
@@ -204,7 +158,7 @@
 // # Concurrency and cancellation
 //
 // A Service is safe for concurrent use after construction. Concurrent
-// requests share the scoring engine (per-shard locks), the index
+// requests share the scoring engine (lock-striped memo), the index
 // (built once), and sessions: the first request for a personal schema
 // builds its cost tables while others wait; the first request needing
 // a baseline runs it exactly once while concurrent waiters either
@@ -287,8 +241,8 @@
 //   - POST /v1/match/{tenant} and POST /v1/batch carry personal
 //     schemas as name-typed element trees, delta, a registry matcher
 //     spec, and a limit; responses carry the ranked answers, the full
-//     Stats (search work, cache traffic, shard fan-out, candidate
-//     pruning), and the guaranteed bounds curve.
+//     Stats (search work, cache traffic, candidate pruning), and the
+//     guaranteed bounds curve.
 //   - Authorization is bearer-token: per-tenant tokens, global serving
 //     tokens, and separate admin tokens guarding tenant
 //     registration/update (POST/PUT /admin/v1/tenants/{tenant}, with
@@ -301,9 +255,9 @@
 //     ErrServerClosed → 503, deadline expiry → 504. Error bodies carry
 //     machine-readable codes.
 //   - GET /metrics exposes Prometheus text (admission counters,
-//     per-tenant cache traffic and versions, shard fan-out and
-//     candidate-pruning totals); GET /healthz flips to 503 while
-//     draining so load balancers stop routing before the drain ends.
+//     per-tenant cache traffic and versions, candidate-pruning
+//     totals); GET /healthz flips to 503 while draining so load
+//     balancers stop routing before the drain ends.
 //
 // On SIGTERM matchd stops accepting connections, lets in-flight HTTP
 // requests finish, runs Server.Drain under a configurable budget, and
@@ -365,9 +319,7 @@
 //     with the search-work counters of matching.SearchStats
 //     ("candidates", "pruned", "yielded" — the same counts a run's
 //     Result.Stats.Search carries), the answer count, and the
-//     candidate-pruning and cache counters;
-//   - sharded search records one "shard" span per scatter leg and a
-//     "merge" span for the gather.
+//     candidate-pruning and cache counters.
 //
 // One batch group traces into one trace: the group leader's ctx is
 // the one the spans attach to. Independent of tracing, every Result

@@ -24,7 +24,8 @@ func FuzzParseSpec(f *testing.F) {
 		// (with the typed ErrTrailingSpec), never silently dropped.
 		"beam:4:junk", "topk:0.05:junk", "clustered:3:junk",
 		"parallel:2:1", "beam:8:", "clustered:3:",
-		// The sharded family nests exactly one inner spec.
+		// Former sharded specs: no longer a family, so they exercise the
+		// unknown-family rejection path.
 		"sharded", "sharded:4", "sharded:0", "sharded:x",
 		"sharded:4:exhaustive", "sharded:4:beam:8", "sharded:2:topk:0.05",
 		"sharded:3:clustered:2", "sharded:2:parallel:4",

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/engine"
 	"repro/internal/matching"
-	"repro/internal/shard"
 	"repro/internal/xmlschema"
 )
 
@@ -68,10 +67,6 @@ type Stats struct {
 	// engine the attribution is approximate — concurrent traffic
 	// blends into whichever requests are in flight.
 	Cache engine.Stats
-	// Sharded carries the scatter-gather fan-out metrics — per-shard
-	// wall-clock, answers, and search work, plus the merge overhead —
-	// when the request ran a sharded spec. Nil otherwise.
-	Sharded *shard.Stats
 	// Candidates carries the candidate-pruning telemetry — pairs
 	// bounded instead of scored, schemas skipped outright, and the
 	// bound floor — when the request was served by a candidate-filtered

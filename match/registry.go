@@ -16,7 +16,6 @@ const (
 	FamilyBeam       = "beam"
 	FamilyTopk       = "topk"
 	FamilyClustered  = "clustered"
-	FamilySharded    = "sharded"
 )
 
 // ErrTrailingSpec is wrapped into Parse errors for specs that carry
@@ -39,9 +38,6 @@ var ErrTrailingSpec = errors.New("match: trailing content in matcher spec")
 //	topk:0.05        aggressive cost-projection pruning, margin 0.05
 //	clustered        cluster-restricted search, default top (K/6+1)
 //	clustered:3      ... searching the 3 best clusters per element
-//	sharded          scatter-gather over the service's configured shards
-//	sharded:4        ... over 4 shards, exhaustive per shard
-//	sharded:4:beam:8 ... running beam:8 on each shard
 type Spec struct {
 	// Family is one of the Family* constants.
 	Family string
@@ -55,13 +51,6 @@ type Spec struct {
 	// Top is how many clusters each personal element searches
 	// (family "clustered"; 0 selects the index default K/6+1).
 	Top int
-	// Shards is the shard count (family "sharded"; 0 selects the
-	// service default configured with WithShards).
-	Shards int
-	// Inner is the canonical nested spec the sharded searcher runs on
-	// each shard (family "sharded"; empty selects "exhaustive").
-	// Sharded specs do not nest.
-	Inner string
 }
 
 // oneArg rejects a second ":" in the argument of a family that takes
@@ -154,35 +143,10 @@ func Parse(spec string) (Spec, error) {
 			sp.Top = top
 		}
 		return sp, nil
-	case FamilySharded:
-		sp := Spec{Family: FamilySharded}
-		if !hasArg {
-			return sp, nil
-		}
-		kStr, rest, hasRest := strings.Cut(arg, ":")
-		k, err := strconv.Atoi(kStr)
-		if err != nil {
-			return Spec{}, fmt.Errorf("match: spec %q: shard count %q is not an integer", spec, kStr)
-		}
-		if k < 1 {
-			return Spec{}, fmt.Errorf("match: spec %q: shard count %d < 1", spec, k)
-		}
-		sp.Shards = k
-		if hasRest {
-			in, err := Parse(rest)
-			if err != nil {
-				return Spec{}, fmt.Errorf("match: spec %q: inner spec: %w", spec, err)
-			}
-			if in.Family == FamilySharded {
-				return Spec{}, fmt.Errorf("match: spec %q: sharded specs do not nest", spec)
-			}
-			sp.Inner = in.String()
-		}
-		return sp, nil
 	case "":
 		return Spec{}, fmt.Errorf("match: empty matcher spec")
 	default:
-		return Spec{}, fmt.Errorf("match: unknown matcher family %q (known: exhaustive, parallel, beam:W, topk:M, clustered[:T], sharded[:K[:spec]])", family)
+		return Spec{}, fmt.Errorf("match: unknown matcher family %q (known: exhaustive, parallel, beam:W, topk:M, clustered[:T])", family)
 	}
 }
 
@@ -220,14 +184,6 @@ func (sp Spec) String() string {
 			return fmt.Sprintf("clustered:%d", sp.Top)
 		}
 		return "clustered"
-	case FamilySharded:
-		if sp.Shards < 1 {
-			return "sharded"
-		}
-		if sp.Inner == "" {
-			return fmt.Sprintf("sharded:%d", sp.Shards)
-		}
-		return fmt.Sprintf("sharded:%d:%s", sp.Shards, sp.Inner)
 	default:
 		return sp.Family
 	}
@@ -236,21 +192,7 @@ func (sp Spec) String() string {
 // Exhaustive reports whether the spec names an exhaustive system
 // (guaranteed to return all of SS∩{∆≤δ}). Only exhaustive systems may
 // serve as the baseline the bounds technique compares against;
-// conversely, only non-exhaustive specs get bounds attached. A sharded
-// spec is exactly as exhaustive as its inner system: the shards
-// partition the repository schemas and the merge is a lossless union,
-// so scatter-gather changes wall-clock, never the answer set.
+// conversely, only non-exhaustive specs get bounds attached.
 func (sp Spec) Exhaustive() bool {
-	switch sp.Family {
-	case FamilyExhaustive, FamilyParallel:
-		return true
-	case FamilySharded:
-		if sp.Inner == "" {
-			return true // the default inner system is "exhaustive"
-		}
-		in, err := Parse(sp.Inner)
-		return err == nil && in.Exhaustive()
-	default:
-		return false
-	}
+	return sp.Family == FamilyExhaustive || sp.Family == FamilyParallel
 }

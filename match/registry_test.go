@@ -2,6 +2,7 @@ package match
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -25,13 +26,6 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		{"topk:5e-2", Spec{Family: FamilyTopk, Margin: 0.05}, "topk:0.05"},
 		{"clustered", Spec{Family: FamilyClustered}, "clustered"},
 		{"clustered:3", Spec{Family: FamilyClustered, Top: 3}, "clustered:3"},
-		{"sharded", Spec{Family: FamilySharded}, "sharded"},
-		{"sharded:4", Spec{Family: FamilySharded, Shards: 4}, "sharded:4"},
-		{"sharded:4:exhaustive", Spec{Family: FamilySharded, Shards: 4, Inner: "exhaustive"}, "sharded:4:exhaustive"},
-		{"sharded:2:beam:8", Spec{Family: FamilySharded, Shards: 2, Inner: "beam:8"}, "sharded:2:beam:8"},
-		{"sharded:3:topk:5e-2", Spec{Family: FamilySharded, Shards: 3, Inner: "topk:0.05"}, "sharded:3:topk:0.05"},
-		{"sharded:8:clustered:2", Spec{Family: FamilySharded, Shards: 8, Inner: "clustered:2"}, "sharded:8:clustered:2"},
-		{"sharded:2:parallel:4", Spec{Family: FamilySharded, Shards: 2, Inner: "parallel:4"}, "sharded:2:parallel:4"},
 	}
 	for _, c := range cases {
 		got, err := Parse(c.in)
@@ -56,7 +50,9 @@ func TestParseSpecRoundTrip(t *testing.T) {
 
 // TestParseSpecRejectsMalformed pins the rejection surface: unknown
 // families, missing arguments, junk arguments, and out-of-domain
-// values all error.
+// values all error. "sharded" is no longer a family, so every sharded
+// spec — well-formed under the old grammar or not — must fail through
+// the unknown-family path, which the wire maps to 400 bad_request.
 func TestParseSpecRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
@@ -81,23 +77,34 @@ func TestParseSpecRejectsMalformed(t *testing.T) {
 		"clustered:0",                // top < 1
 		"clustered:first",            // not an integer
 		"BEAM:8",                     // families are case-sensitive lowercase
-		"sharded:0",                  // shard count < 1
-		"sharded:-2",                 // shard count < 1
-		"sharded:two",                // not an integer
-		"sharded:4:",                 // empty inner spec
-		"sharded:4:quantum",          // unknown inner family
-		"sharded:4:beam",             // inner spec missing its argument
-		"sharded:2:sharded:2",        // sharded specs do not nest
-		"sharded:2:sharded:2:beam:8", // ... at any depth
-		"sharded:4:beam:8:junk",      // trailing garbage inside the inner spec
+		"sharded",                    // unknown family
+		"sharded:4",                  // unknown family
+		"sharded:4:exhaustive",       // unknown family
+		"sharded:2:beam:8",           // unknown family
+		"sharded:3:topk:5e-2",        // unknown family
+		"sharded:8:clustered:2",      // unknown family
+		"sharded:2:parallel:4",       // unknown family
+		"sharded:4:parallel:2",       // unknown family
+		"sharded:0",                  // unknown family
+		"sharded:-2",                 // unknown family
+		"sharded:two",                // unknown family
+		"sharded:4:",                 // unknown family
+		"sharded:4:quantum",          // unknown family
+		"sharded:4:beam",             // unknown family
+		"sharded:2:sharded:2",        // unknown family
+		"sharded:2:sharded:2:beam:8", // unknown family
+		"sharded:4:beam:8:junk",      // unknown family
 		"clustered:3:junk",           // trailing garbage
 		"parallel:2:junk",            // trailing garbage
 		"topk:0.05:junk",             // trailing garbage
 		"beam:4:junk",                // trailing garbage
 	}
 	for _, s := range bad {
-		if sp, err := Parse(s); err == nil {
+		sp, err := Parse(s)
+		if err == nil {
 			t.Errorf("Parse(%q) = %+v, want error", s, sp)
+		} else if strings.HasPrefix(s, "sharded") && !strings.Contains(err.Error(), "unknown matcher family") {
+			t.Errorf("Parse(%q) error %v, want the unknown-family error", s, err)
 		}
 	}
 }
@@ -112,7 +119,6 @@ func TestParseSpecTrailingTyped(t *testing.T) {
 		"clustered:3:junk",
 		"parallel:2:1",
 		"exhaustive:1",
-		"sharded:4:beam:8:junk",
 	}
 	for _, s := range trailing {
 		_, err := Parse(s)
@@ -124,12 +130,7 @@ func TestParseSpecTrailingTyped(t *testing.T) {
 			t.Errorf("Parse(%q) error %v does not wrap ErrTrailingSpec", s, err)
 		}
 	}
-	// Not everything with many colons is trailing garbage: a sharded
-	// spec legitimately nests one inner spec.
-	if _, err := Parse("sharded:4:beam:8"); err != nil {
-		t.Errorf("Parse(sharded:4:beam:8): %v", err)
-	}
-	// And a malformed argument is a malformed argument, not trailing.
+	// A malformed argument is a malformed argument, not trailing.
 	if _, err := Parse("beam:eight"); errors.Is(err, ErrTrailingSpec) {
 		t.Error("beam:eight misclassified as trailing garbage")
 	}
@@ -156,18 +157,12 @@ func TestParseList(t *testing.T) {
 // never get bounds attached / may serve as the baseline).
 func TestSpecExhaustive(t *testing.T) {
 	for spec, want := range map[string]bool{
-		"exhaustive":           true,
-		"parallel":             true,
-		"parallel:2":           true,
-		"beam:8":               false,
-		"topk:0.05":            false,
-		"clustered":            false,
-		"sharded":              true, // default inner system is exhaustive
-		"sharded:4":            true,
-		"sharded:4:exhaustive": true,
-		"sharded:4:parallel:2": true,
-		"sharded:4:beam:8":     false,
-		"sharded:2:clustered":  false,
+		"exhaustive": true,
+		"parallel":   true,
+		"parallel:2": true,
+		"beam:8":     false,
+		"topk:0.05":  false,
+		"clustered":  false,
 	} {
 		sp, err := Parse(spec)
 		if err != nil {

@@ -42,12 +42,11 @@ const defaultResidentTenants = 8
 
 // serverConfig collects the functional options of NewServer.
 type serverConfig struct {
-	workers      int
-	queueDepth   int
-	tenantLimit  int
-	maxResident  int
-	tenantShards int
-	storeFor     func(tenant string) TenantStore
+	workers     int
+	queueDepth  int
+	tenantLimit int
+	maxResident int
+	storeFor    func(tenant string) TenantStore
 }
 
 // ServerOption configures a Server at construction.
@@ -71,14 +70,6 @@ func WithQueueDepth(n int) ServerOption { return func(c *serverConfig) { c.queue
 // the per-tenant cap (the global queue depth still applies).
 func WithTenantConcurrency(n int) ServerOption { return func(c *serverConfig) { c.tenantLimit = n } }
 
-// WithTenantShards makes every tenant service built by AddTenant serve
-// scatter-gather sharded search with k shards by default — equivalent
-// to prepending WithShards(k) to each AddTenant call's options, so a
-// later explicit WithShards in those options still wins. Tenants
-// registered through Register with a custom factory are unaffected.
-// Values < 1 leave tenants unsharded.
-func WithTenantShards(k int) ServerOption { return func(c *serverConfig) { c.tenantShards = k } }
-
 // WithResidentTenants bounds how many tenants' services are resident
 // at once. A tenant's Service (its scoring memo, cluster index, and
 // session cache) is built lazily on first request and LRU-evicted
@@ -93,11 +84,10 @@ func WithResidentTenants(n int) ServerOption { return func(c *serverConfig) { c.
 // calls concurrently. See the package documentation for the tenancy
 // and overload contract.
 type Server struct {
-	workers      int
-	queueDepth   int
-	tenantLimit  int
-	tenantShards int
-	storeFor     func(tenant string) TenantStore
+	workers     int
+	queueDepth  int
+	tenantLimit int
+	storeFor    func(tenant string) TenantStore
 
 	mu       sync.Mutex
 	closed   bool
@@ -189,14 +179,13 @@ func NewServer(opts ...ServerOption) *Server {
 		cfg.maxResident = defaultResidentTenants
 	}
 	s := &Server{
-		workers:      cfg.workers,
-		queueDepth:   cfg.queueDepth,
-		tenantLimit:  cfg.tenantLimit,
-		tenantShards: cfg.tenantShards,
-		storeFor:     cfg.storeFor,
-		registry:     make(map[string]*tenantReg),
-		resident:     lru.New[string, *residentTenant](cfg.maxResident),
-		queue:        make(chan *job, cfg.queueDepth),
+		workers:     cfg.workers,
+		queueDepth:  cfg.queueDepth,
+		tenantLimit: cfg.tenantLimit,
+		storeFor:    cfg.storeFor,
+		registry:    make(map[string]*tenantReg),
+		resident:    lru.New[string, *residentTenant](cfg.maxResident),
+		queue:       make(chan *job, cfg.queueDepth),
 	}
 	s.wg.Add(s.workers)
 	for i := 0; i < s.workers; i++ {
@@ -251,9 +240,6 @@ func (s *Server) Register(name string, factory func() (*Service, error)) error {
 func (s *Server) AddTenant(name string, repo *xmlschema.Repository, opts ...Option) error {
 	if repo == nil {
 		return fmt.Errorf("match: tenant %q: nil repository", name)
-	}
-	if s.tenantShards > 0 {
-		opts = append([]Option{WithShards(s.tenantShards)}, opts...)
 	}
 	var ts TenantStore
 	if s.storeFor != nil {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/matchers/topk"
 	"repro/internal/matching"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/similarity"
 	"repro/internal/xmlschema"
 )
@@ -40,8 +39,6 @@ type config struct {
 	scorer        engine.Scorer
 	baseline      string
 	maxSessions   int
-	shards        int
-	shardStrategy string
 	candidates    bool
 	candHorizon   float64
 	store         TenantStore
@@ -114,19 +111,6 @@ func WithBaseline(spec string) Option { return func(c *config) { c.baseline = sp
 // Values < 1 select the default.
 func WithSessionCacheSize(n int) Option { return func(c *config) { c.maxSessions = n } }
 
-// WithShards gives the service a default shard count k for
-// scatter-gather search: "sharded" specs without an explicit count
-// resolve to k, and — unless WithBaseline overrides it — the service
-// baseline becomes "sharded:k" (scatter-gather exhaustive search,
-// which returns exactly the exhaustive answer set with the shards
-// searched in parallel). Sharded specs with their own count
-// ("sharded:2:beam:8") work with or without this option; each distinct
-// count gets its own lazily built, incrementally maintained searcher
-// (LRU-bounded), and counts beyond the repository's schema count are
-// clamped to it (the extra shards could only be empty). Values < 1
-// leave the service unsharded.
-func WithShards(k int) Option { return func(c *config) { c.shards = k } }
-
 // WithCandidateIndex enables candidate pruning: the service builds an
 // inverted q-gram index (internal/candindex) over each repository
 // generation — maintained incrementally across Update like the
@@ -147,14 +131,6 @@ func WithCandidateIndex(horizon float64) Option {
 	return func(c *config) { c.candidates = true; c.candHorizon = horizon }
 }
 
-// WithShardStrategy selects how schemas are partitioned across shards:
-// "hash" (the default — stable name hash, balanced in expectation) or
-// "cluster" (k-medoids over element names; similar schemas co-locate,
-// tightening each shard's name population at the cost of possible
-// imbalance). The cluster strategy shares the service scorer and the
-// index seed, so partitioning is deterministic per repository.
-func WithShardStrategy(name string) Option { return func(c *config) { c.shardStrategy = name } }
-
 // Service is a long-lived matching front-end over one repository: it
 // owns the shared scoring engine, lazily builds and caches the
 // clustered index, caches per-personal-schema problems and baseline
@@ -172,10 +148,6 @@ type Service struct {
 	hGuess      int
 	baseline    Spec
 	maxSessions int
-	// shardK is the default shard count of "sharded" specs (0 = none);
-	// shardStrategy names the partitioning strategy ("hash"/"cluster").
-	shardK        int
-	shardStrategy string
 
 	// candOn enables candidate-filtered table builds at candHorizon;
 	// candMetric is the scorer's metric, the ground truth the index's
@@ -204,14 +176,6 @@ type Service struct {
 	sessions *lru.Map[sessionKey, *session]
 }
 
-// maxSearchers bounds how many distinct shard counts' scatter-gather
-// searchers one serving generation keeps resident (LRU-evicted beyond
-// it). Each searcher holds per-shard sub-snapshots and derived indexes,
-// and the shard count comes from client-supplied specs — without a
-// bound, varied (or adversarial) "sharded:K" traffic would accumulate
-// one searcher per distinct K for the life of the generation.
-const maxSearchers = 4
-
 // serviceState is one immutable serving generation of a Service: a
 // repository snapshot plus the cluster index over it, built lazily on
 // the first clustered request (Update pre-seeds it incrementally when
@@ -230,51 +194,6 @@ type serviceState struct {
 	// first problem build when WithCandidateIndex is on (Update pre-
 	// seeds it incrementally from the previous generation's).
 	cand lazy.Cell[*candindex.Index]
-
-	// searchers holds the generation's scatter-gather searchers, one
-	// per requested shard count, built lazily on the first sharded
-	// request with that count and LRU-bounded by maxSearchers. Update
-	// derives the next generation's searchers incrementally
-	// (shard.Searcher.Apply), rebuilding only the shards the snapshot
-	// diff touched.
-	shMu      sync.Mutex
-	searchers *lru.Map[int, *lazy.Cell[*shard.Searcher]]
-}
-
-// searcherFor returns the generation's k-shard searcher, building it on
-// first use (concurrent callers share one build; an evicted count is
-// simply rebuilt on its next request).
-func (st *serviceState) searcherFor(s *Service, k int) (*shard.Searcher, error) {
-	st.shMu.Lock()
-	if st.searchers == nil {
-		st.searchers = lru.New[int, *lazy.Cell[*shard.Searcher]](maxSearchers)
-	}
-	slot, ok := st.searchers.Get(k)
-	if !ok {
-		slot = &lazy.Cell[*shard.Searcher]{}
-		st.searchers.Put(k, slot)
-	}
-	st.shMu.Unlock()
-	return slot.Do(func() (*shard.Searcher, error) {
-		return shard.NewSearcher(st.snap, s.shardConfig(st, k))
-	})
-}
-
-// builtSearchers returns the generation's completed, healthy searchers
-// in LRU order (least recently used first).
-func (st *serviceState) builtSearchers() (counts []int, searchers []*shard.Searcher) {
-	st.shMu.Lock()
-	defer st.shMu.Unlock()
-	if st.searchers == nil {
-		return nil, nil
-	}
-	st.searchers.Each(func(k int, sl *lazy.Cell[*shard.Searcher]) {
-		if sr, err, done := sl.Built(); done && err == nil && sr != nil {
-			counts = append(counts, k)
-			searchers = append(searchers, sr)
-		}
-	})
-	return counts, searchers
 }
 
 // indexOf returns the state's cluster index, building it on first use.
@@ -379,20 +298,8 @@ func newService(snapFn func() (*xmlschema.Snapshot, error), opts ...Option) (*Se
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.shardStrategy != "" {
-		if _, err := shard.ParseStrategy(cfg.shardStrategy); err != nil {
-			return nil, fmt.Errorf("match: %w", err)
-		}
-	}
-	// The default baseline: sharded scatter-gather exhaustive search
-	// when the service is shard-configured (same answer set, shards in
-	// parallel), the parallel exhaustive system otherwise.
 	if cfg.baseline == "" {
-		if cfg.shards > 0 {
-			cfg.baseline = fmt.Sprintf("sharded:%d", cfg.shards)
-		} else {
-			cfg.baseline = "parallel"
-		}
+		cfg.baseline = "parallel"
 	}
 	// A zero-weight config (including the no-option case) selects the
 	// defaults, preserving any scorer set inside it — mirroring core.
@@ -433,21 +340,12 @@ func newService(snapFn func() (*xmlschema.Snapshot, error), opts ...Option) (*Se
 	if !baseSpec.Exhaustive() {
 		return nil, fmt.Errorf("match: baseline %q is not an exhaustive system", cfg.baseline)
 	}
-	// A countless sharded baseline with no WithShards default would
-	// fail on the first baseline run; surface the misconfiguration at
-	// construction like every other invalid baseline.
-	if baseSpec.Family == FamilySharded && baseSpec.Shards == 0 && cfg.shards < 1 {
-		return nil, fmt.Errorf("match: baseline %q has no shard count (use \"sharded:K\" or WithShards)", cfg.baseline)
-	}
 	if cfg.maxSessions < 1 {
 		cfg.maxSessions = defaultMaxSessions
 	}
 	snap, err := snapFn()
 	if err != nil {
 		return nil, fmt.Errorf("match: %w", err)
-	}
-	if cfg.shards < 1 {
-		cfg.shards = 0 // values < 1 leave the service unsharded
 	}
 	var candMetric similarity.Metric
 	candHorizon := 0.0
@@ -463,22 +361,20 @@ func newService(snapFn func() (*xmlschema.Snapshot, error), opts ...Option) (*Se
 		}
 	}
 	s := &Service{
-		matchCfg:      mcfg,
-		indexCfg:      cfg.indexCfg,
-		thresholds:    thresholds,
-		truth:         cfg.truth,
-		s1Curve:       cfg.s1Curve,
-		hGuess:        cfg.hGuess,
-		baseline:      baseSpec,
-		maxSessions:   cfg.maxSessions,
-		shardK:        cfg.shards,
-		shardStrategy: cfg.shardStrategy,
-		candOn:        cfg.candidates,
-		candHorizon:   candHorizon,
-		candMetric:    candMetric,
-		scorer:        scorer,
-		store:         cfg.store,
-		sessions:      lru.New[sessionKey, *session](cfg.maxSessions),
+		matchCfg:    mcfg,
+		indexCfg:    cfg.indexCfg,
+		thresholds:  thresholds,
+		truth:       cfg.truth,
+		s1Curve:     cfg.s1Curve,
+		hGuess:      cfg.hGuess,
+		baseline:    baseSpec,
+		maxSessions: cfg.maxSessions,
+		candOn:      cfg.candidates,
+		candHorizon: candHorizon,
+		candMetric:  candMetric,
+		scorer:      scorer,
+		store:       cfg.store,
+		sessions:    lru.New[sessionKey, *session](cfg.maxSessions),
 	}
 	st := &serviceState{snap: snap}
 	if cfg.restoredIndex != nil {
@@ -579,75 +475,9 @@ func (s *Service) build(st *serviceState, sp Spec) (matching.Matcher, error) {
 			top = ix.K()/6 + 1
 		}
 		return clustered.New(ix, top, s.scorer)
-	case FamilySharded:
-		if st == nil {
-			return nil, fmt.Errorf("match: sharded spec needs a service-backed searcher")
-		}
-		k := sp.Shards
-		if k == 0 {
-			k = s.shardK
-		}
-		if k < 1 {
-			return nil, fmt.Errorf("match: spec %q: no shard count (use \"sharded:K\" or WithShards)", sp.String())
-		}
-		// Shards beyond the schema count can only be empty, so the
-		// count is clamped: the answer set is unchanged (shards
-		// partition the schemas either way) and a client-supplied
-		// "sharded:1000000000" cannot make the service allocate a
-		// billion shard structures. The resolved spec reports the
-		// effective count.
-		if n := st.snap.Len(); k > n {
-			k = n
-		}
-		sr, err := st.searcherFor(s, k)
-		if err != nil {
-			return nil, err
-		}
-		inner := Spec{Family: FamilyExhaustive}
-		if sp.Inner != "" {
-			if inner, err = Parse(sp.Inner); err != nil {
-				return nil, err
-			}
-		}
-		resolved := sp
-		resolved.Shards = k
-		return &shardedMatcher{sr: sr, sp: resolved, inner: inner}, nil
 	default:
 		return nil, fmt.Errorf("match: unknown matcher family %q", sp.Family)
 	}
-}
-
-// shardConfig assembles the shard.Config of one serving generation's
-// k-shard searcher: the partitioning strategy shares the service scorer
-// and the index seed, and the searcher adopts the generation's own
-// unsharded clustered index as the repository-wide clustering shard
-// indexes derive from — the quadratic clustering is paid once, and
-// sharded clustered search agrees bit-for-bit with the unsharded
-// clustered matcher of the same generation because both select against
-// the very same medoid set.
-func (s *Service) shardConfig(st *serviceState, k int) shard.Config {
-	ixCfg := s.indexCfg
-	if ixCfg.Scorer == nil {
-		ixCfg.Scorer = s.scorer
-	}
-	var strat shard.Strategy
-	if parsed, err := shard.ParseStrategy(s.shardStrategy); err == nil {
-		if _, ok := parsed.(shard.Cluster); ok {
-			strat = shard.Cluster{Scorer: s.scorer, Seed: s.indexCfg.Seed}
-		} else {
-			strat = parsed
-		}
-	}
-	scfg := shard.Config{
-		K:           k,
-		Strategy:    strat,
-		Index:       ixCfg,
-		GlobalIndex: func() (*clustered.Index, error) { return st.indexOf(s) },
-	}
-	if s.candOn {
-		scfg.GlobalCandidates = func() (*candindex.Index, error) { return st.candOf(s) }
-	}
-	return scfg
 }
 
 // session returns (creating if needed) the cache entry for personal in
@@ -919,17 +749,10 @@ func (s *Service) matchAt(ctx context.Context, st *serviceState, req Request) (*
 	searchSpan.SetStr("matcher", sys.Name())
 	searchSpan.SetFloat("delta", req.Delta)
 	var (
-		set        *matching.AnswerSet
-		search     matching.SearchStats
-		shardStats *shard.Stats
+		set    *matching.AnswerSet
+		search matching.SearchStats
 	)
 	switch sm := sys.(type) {
-	case *shardedMatcher:
-		var sst shard.Stats
-		set, search, sst, err = sm.MatchShardStats(searchCtx, prob, req.Delta)
-		if err == nil {
-			shardStats = &sst
-		}
 	case matching.StatsMatcher:
 		set, search, err = sm.MatchStatsContext(searchCtx, prob, req.Delta)
 	default:
@@ -946,9 +769,6 @@ func (s *Service) matchAt(ctx context.Context, st *serviceState, req Request) (*
 			searchSpan.SetInt("pairs_pruned", cs.Pruned)
 			searchSpan.SetInt("schemas_skipped", int64(cs.SkippedSchemas))
 		}
-		if shardStats != nil {
-			searchSpan.SetInt("shards", int64(shardStats.Shards))
-		}
 	}
 	searchSpan.End()
 	wall := time.Since(start)
@@ -962,7 +782,6 @@ func (s *Service) matchAt(ctx context.Context, st *serviceState, req Request) (*
 			Matcher:      sys.Name(),
 			Wall:         wall,
 			Search:       search,
-			Sharded:      shardStats,
 			Answers:      set.Len(),
 			SessionBuild: sessionBuild,
 		},

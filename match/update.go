@@ -4,13 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/candindex"
-	"repro/internal/lazy"
-	"repro/internal/lru"
-	"repro/internal/matchers/clustered"
 	"repro/internal/matching"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/xmlschema"
 )
 
@@ -43,7 +38,7 @@ func (s *Service) Update(mutate func(*xmlschema.Snapshot) (*xmlschema.Snapshot, 
 }
 
 // UpdateContext is Update with tracing: when ctx carries an obs span,
-// the update's stages — mutate, the incremental index/searcher carry,
+// the update's stages — mutate, the incremental index carry,
 // the warm-session rebase, and the durable append — are recorded as
 // child spans. The swap semantics are identical to Update; the context
 // does not cancel an update in progress.
@@ -96,32 +91,6 @@ func (s *Service) UpdateContext(ctx context.Context, mutate func(*xmlschema.Snap
 	if cix, cErr, done := old.builtCand(); done && cErr == nil && cix != nil {
 		if applied, err := cix.Apply(next.Repository(), diff); err == nil {
 			nst.cand.Seed(applied, nil)
-		}
-	}
-
-	// Carry every built scatter-gather searcher into the new
-	// generation, preserving LRU order. shard.Searcher.Apply routes the
-	// diff to only the affected shards: unaffected shards keep their
-	// sub-snapshots, scoring caches, and derived indexes by pointer.
-	// Each carried searcher gets the NEW generation's index provider,
-	// so all of them (and the unsharded matchers) keep sharing the one
-	// index object this generation serves — the diff is applied to the
-	// clustering once, above, not once per searcher. An Apply failure
-	// leaves that shard count lazy — the next sharded request with it
-	// rebuilds from scratch.
-	if counts, searchers := old.builtSearchers(); len(counts) > 0 {
-		provider := func() (*clustered.Index, error) { return nst.indexOf(s) }
-		var candProvider func() (*candindex.Index, error)
-		if s.candOn {
-			candProvider = func() (*candindex.Index, error) { return nst.candOf(s) }
-		}
-		nst.searchers = lru.New[int, *lazy.Cell[*shard.Searcher]](maxSearchers)
-		for i, k := range counts {
-			if applied, err := searchers[i].Apply(next, diff, provider, candProvider); err == nil {
-				slot := &lazy.Cell[*shard.Searcher]{}
-				slot.Seed(applied, nil)
-				nst.searchers.Put(k, slot)
-			}
 		}
 	}
 
